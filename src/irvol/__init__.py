@@ -28,7 +28,6 @@ from irvol.irgarch import (
 from irvol.irmsv import (
     CorrelationMatrix,
     IrMsvParams,
-    forecast_msv,
     joint_observation_density,
     simulate_irmsv,
 )

@@ -41,7 +41,7 @@ from irvol.dataio import (
 )
 from irvol.irgarch import IrGarchParams, fit_ml, simulate_irgarch
 from irvol.irmsv import CorrelationMatrix, IrMsvParams, simulate_irmsv
-from irvol.irsv import IrSvParams, simulate_irsv
+from irvol.irsv import IrSvParams, forecast, simulate_irsv
 from irvol.mcmc import IrMsvPriors, IrSvPriors, McmcConfig, fit_irmsv, fit_irsv
 from irvol.refresh import aggregate_one_second, refresh_sample
 
@@ -391,31 +391,10 @@ def _latent_column(names, prefix: str) -> str:
     return best
 
 
-def _propagate(mu, phi, sigma2, start_h, gaps, horizons, rng):
-    """Vectorized per-draw state propagation; returns (n_horizons, n_draws) h."""
-    x = start_h - mu
-    out = np.empty((len(horizons), mu.size))
-    want = {k: i for i, k in enumerate(horizons)}
-    omp = 1.0 - phi * phi
-    for step, gap in enumerate(gaps, start=1):
-        coef = phi**gap
-        sd = np.sqrt(sigma2 * (1.0 - phi ** (2.0 * gap)) / omp)
-        x = coef * x + sd * rng.standard_normal(mu.size)
-        if step in want:
-            out[want[step]] = mu + x
-        if step >= horizons[-1]:
-            break
-    return out
-
-
 def cmd_forecast(args) -> None:
     started = time.time()
     model = args.model
-    seed = _resolve(args, "seed", 0, int)
     holdout = _resolve(args, "holdout", 44, int)
-    draws_per_sample = _resolve(args, "draws_per_sample", 1, int)
-    if draws_per_sample < 1:
-        raise ValueError("--draws-per-sample must be at least 1")
     horizons = _parse_horizons(_resolve(args, "horizons", DEFAULT_HORIZONS, str))
     out_dir = _out_dir(args)
 
@@ -438,7 +417,6 @@ def cmd_forecast(args) -> None:
         )
     future_gaps = gaps[n_fit - 1:] / scale_factor
 
-    rng = np.random.default_rng(seed)
     rows = []
     if model == "irsv":
         if matrix.shape[0] != 1:
@@ -459,18 +437,11 @@ def cmd_forecast(args) -> None:
         raise ValueError(f"unknown forecast model {model!r}")
 
     for asset, mu, phi, sigma2, last_h in groups:
-        mu = np.repeat(mu, draws_per_sample)
-        phi = np.repeat(phi, draws_per_sample)
-        sigma2 = np.repeat(sigma2, draws_per_sample)
-        last_h = np.repeat(last_h, draws_per_sample)
-        paths = _propagate(mu, phi, sigma2, last_h, future_gaps, horizons, rng)
-        for idx, horizon in enumerate(horizons):
-            h_k = paths[idx]
-            q = np.quantile(h_k, [0.025, 0.975])
-            vol = np.exp(h_k / 2.0)
-            rows.append([model, asset, horizon, float(h_k.mean()), float(q[0]),
-                         float(q[1]), float(np.exp(h_k).mean()),
-                         float(vol.mean() * SQRT_2_OVER_PI), float(vol.mean())])
+        fc = forecast(mu, phi, sigma2, last_h, future_gaps, steps=horizons)
+        for k, horizon in enumerate(horizons):
+            vol = float(fc.vol_mean[k])
+            rows.append([model, asset, horizon, float(fc.h_mean[k]), float(fc.h_q025[k]),
+                         float(fc.h_q975[k]), float(fc.r2_mean[k]), vol * SQRT_2_OVER_PI, vol])
 
     path = out_dir / "forecast.csv"
     with open(path, "w", newline="") as handle:
@@ -481,12 +452,10 @@ def cmd_forecast(args) -> None:
             writer.writerow([row[0], row[1], row[2]] + [repr(v) for v in row[3:]])
     options = {"model": model, "chain": str(args.chain), "data": str(args.data),
                "holdout": holdout, "horizons": ",".join(map(str, horizons)),
-               "draws_per_sample": draws_per_sample, "seed": seed, "out": str(out_dir)}
+               "out": str(out_dir)}
     argv = ["forecast", "--model", model, "--chain", str(args.chain),
             "--data", str(args.data), "--holdout", str(holdout),
-            "--horizons", ",".join(map(str, horizons)),
-            "--draws-per-sample", str(draws_per_sample),
-            "--seed", str(seed), "--out", str(out_dir)]
+            "--horizons", ",".join(map(str, horizons)), "--out", str(out_dir)]
     _write_manifest(out_dir, "forecast", argv, options,
                     [str(args.chain), str(args.data)], [str(path)], started)
 
@@ -620,7 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--holdout", type=int, default=None)
     p.add_argument("--horizons", default=None)
-    p.add_argument("--draws-per-sample", dest="draws_per_sample", type=int, default=None)
+    p.add_argument("--draws-per-sample", dest="draws_per_sample", type=int, default=None,
+                   help="no effect: forecasts are exact; accepted so older command "
+                        "lines still run")
     add_common(p)
     p.set_defaults(handler=cmd_forecast)
 

@@ -9,11 +9,13 @@ to keep those powers bounded away from zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 TIME_TOL = 1e-9  # absolute tolerance for timestamp arithmetic
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _as_1d_floats(values, name: str) -> np.ndarray:

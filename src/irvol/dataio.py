@@ -171,9 +171,9 @@ def read_returns(path):
             if len(rowentry) != len(header):
                 raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields")
             try:
-                ts_list.append(float(rowentry[0]))
-                if lineno > 2:
+                if ts_list:  # the first data row has no gap
                     gap_list.append(float(rowentry[1]))
+                ts_list.append(float(rowentry[0]))
                 rows.append([float(cell) for cell in rowentry[2:]])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: unparseable number") from None

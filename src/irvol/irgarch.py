@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from irvol.core import gap_values
+from irvol.core import LOG_2PI, gap_values
 
-LOG_2PI = math.log(2.0 * math.pi)
 FIRST_GAP = 1.0  # the variance start uses a unit gap
 
 # (alpha1, beta1) combinations tried by the multi-start optimizer, in

@@ -10,20 +10,12 @@ matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from irvol.core import gap_values
-from irvol.irsv import (
-    LOG_2PI,
-    ForecastSummary,
-    IrSvParams,
-    _recurse_states,
-    _require_positive_phi,
-    forecast,
-)
+from irvol.core import LOG_2PI, gap_values
+from irvol.irsv import IrSvParams, _recurse_states, _require_positive_phi
 
 MIN_EIGENVALUE = 1e-10
 SYMMETRY_TOL = 1e-12
@@ -185,21 +177,3 @@ def joint_observation_density(r, h, correlation) -> float:
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     quad = float(y @ y)
     return -0.5 * (r_arr.size * LOG_2PI + logdet + float(np.sum(h_arr)) + quad)
-
-
-def forecast_msv(params: IrMsvParams, last_h, future_gaps, n_draws: int,
-                 seed=None) -> tuple[ForecastSummary, ...]:
-    """Per-asset forecast summaries from the last latent state vector.
-
-    The latent recursions are independent across assets and the forecast
-    target is E[r^2 | h] = exp(h) per asset, so the correlation matrix
-    does not enter; marginal summaries are identical for any valid R.
-    """
-    last = np.asarray(last_h, dtype=float)
-    if last.ndim != 1 or last.size != params.n_assets:
-        raise ValueError("last_h must hold one value per asset")
-    rng = np.random.default_rng(seed)
-    return tuple(
-        forecast(params.asset(i), float(last[i]), future_gaps, n_draws, rng)
-        for i in range(params.n_assets)
-    )

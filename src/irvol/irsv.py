@@ -26,9 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irvol.core import gap_values
+from irvol.core import LOG_2PI, gap_values
 
-LOG_2PI = math.log(2.0 * math.pi)
+Q_LOW = 0.025  # forecast quantiles are at Q_LOW and 1 - Q_LOW
+Z_975 = 1.959963984540054  # standard normal quantile at 1 - Q_LOW
+SQRT2 = math.sqrt(2.0)
+BISECT_MAX = 200
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,17 @@ class IrSvParams:
 def _require_positive_phi(phi: float) -> None:
     if phi <= 0:
         raise ValueError("fractional gap powers need phi in (0, 1); phi <= 0 is unsupported")
+
+
+def gap_law(phi, gaps):
+    """Gap-time AR(1) coefficients over gaps g: (phi**g, c(g)), broadcasting.
+
+    c(g) = (1 - phi**(2g)) / (1 - phi**2), so over a gap g the state moves
+    as h' - mu = phi**g (h - mu) + N(0, sigma_eta**2 * c(g)).  Gaps add:
+    the law after several gaps is the law over their sum.
+    """
+    omp = 1.0 - phi * phi
+    return phi**gaps, (1.0 - phi ** (2.0 * gaps)) / omp
 
 
 @dataclass(frozen=True)
@@ -157,59 +172,84 @@ def observation_density(r, h):
 
 @dataclass(frozen=True)
 class ForecastSummary:
-    """Per-horizon predictive summaries of h and of E[r^2 | h] = exp(h).
+    """Per-step predictive summaries of h, E[r^2] and E[exp(h / 2)].
 
-    Arrays are indexed by forecast step (one entry per future gap).
+    Arrays hold one entry per reported forecast step.
     """
 
-    gaps: np.ndarray
     h_mean: np.ndarray
     h_q025: np.ndarray
-    h_q500: np.ndarray
     h_q975: np.ndarray
     r2_mean: np.ndarray
-    r2_q025: np.ndarray
-    r2_q500: np.ndarray
-    r2_q975: np.ndarray
+    vol_mean: np.ndarray
 
 
-def forecast(params: IrSvParams, last_h: float, future_gaps, n_draws: int,
-             seed=None) -> ForecastSummary:
-    """Simulate the state recursion forward and summarize per horizon.
+def forecast(mu, phi, sigma2, last_h, future_gaps, steps=None) -> ForecastSummary:
+    """Exact predictive summaries, averaged over posterior draws.
 
-    ``future_gaps`` are the gap times of the future observations (any
-    positive reals, in the same time units the model was specified in).
-    ``n_draws`` independent paths start from ``last_h``; the summaries are
-    Monte Carlo means/quantiles of h and of exp(h) per horizon.
+    ``mu``, ``phi``, ``sigma2`` (= sigma_eta**2) and ``last_h`` are
+    scalars or equal-length arrays of draws; ``future_gaps`` are the gap
+    times of the future observations, in the units the draws were fit
+    in.  Given one draw, h after the summed gap G of the first k future
+    gaps is exactly N(m, v) with m = mu + phi**G (last_h - mu) and
+    v = sigma2 * c(G) (see ``gap_law``).  Per step this returns mean(m),
+    mean(exp(m + v / 2)) = E[r^2], mean(exp(m / 2 + v / 8)) =
+    E[exp(h / 2)], and the 2.5% and 97.5% quantiles of the equal-weight
+    mixture of the draws' normals.  ``steps`` picks the 1-based steps to
+    report (default: every step); the quantiles cost one mixture CDF per
+    bisection step and reported step, so callers pass only the horizons
+    they need.
     """
     g = np.asarray(future_gaps, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("future_gaps must be a nonempty one-dimensional sequence")
     if not np.all(np.isfinite(g)) or np.any(g <= 0):
         raise ValueError("future gap times must be positive and finite")
-    if n_draws < 1:
-        raise ValueError("n_draws must be at least 1")
-    _require_positive_phi(params.phi)
-    rng = np.random.default_rng(seed)
-    omp = 1.0 - params.phi**2
-    coef = params.phi**g
-    sd = params.sigma_eta * np.sqrt((1.0 - params.phi ** (2.0 * g)) / omp)
-    x = np.full(n_draws, last_h - params.mu)
-    paths = np.empty((g.size, n_draws))
-    for k in range(g.size):
-        x = coef[k] * x + sd[k] * rng.standard_normal(n_draws)
-        paths[k] = params.mu + x
-    h_q = np.quantile(paths, [0.025, 0.5, 0.975], axis=1)
-    r2 = np.exp(paths)
-    r2_q = np.quantile(r2, [0.025, 0.5, 0.975], axis=1)
+    steps = np.arange(1, g.size + 1) if steps is None else np.asarray(steps, dtype=int)
+    if steps.ndim != 1 or steps.size == 0 or steps.min() < 1 or steps.max() > g.size:
+        raise ValueError("steps must be 1-based positions within future_gaps")
+    draws = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
+                                  for x in (mu, phi, sigma2, last_h)))
+    mu, phi, sigma2, last_h = draws
+    if mu.ndim != 1 or not all(np.all(np.isfinite(x)) for x in draws):
+        raise ValueError("mu, phi, sigma2 and last_h must be finite scalars or vectors")
+    if np.any(phi <= 0.0) or np.any(phi >= 1.0) or np.any(sigma2 < 0.0):
+        raise ValueError("forecasting needs 0 < phi < 1 and sigma2 >= 0")
+    reach = np.cumsum(g)[steps - 1, None]  # (steps, 1) against (draws,)
+    a, c = gap_law(phi, reach)
+    m = mu + a * (last_h - mu)
+    v = sigma2 * c
+    h_q = _mixture_quantiles(m, np.sqrt(v))
     return ForecastSummary(
-        gaps=g,
-        h_mean=paths.mean(axis=1),
+        h_mean=m.mean(axis=1),
         h_q025=h_q[0],
-        h_q500=h_q[1],
-        h_q975=h_q[2],
-        r2_mean=r2.mean(axis=1),
-        r2_q025=r2_q[0],
-        r2_q500=r2_q[1],
-        r2_q975=r2_q[2],
+        h_q975=h_q[1],
+        r2_mean=np.exp(m + v / 2.0).mean(axis=1),
+        vol_mean=np.exp(m / 2.0 + v / 8.0).mean(axis=1),
     )
+
+
+def _mixture_quantiles(m: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """2.5% and 97.5% quantiles of each row's equal-weight normal mixture.
+
+    ``m`` and ``sd`` are (steps, draws); a draw with sd = 0 is a point
+    mass.  Returns (2, steps).  Each component's own quantile bounds the
+    mixture's, so bisection starts from the smallest and largest of them
+    and halves the bracket down to rounding level.
+    """
+    levels = np.array([[Q_LOW], [1.0 - Q_LOW]])
+    own = m + np.array([-Z_975, Z_975])[:, None, None] * sd
+    lo, hi = own.min(axis=2), own.max(axis=2)
+    tol = np.finfo(float).eps * (np.abs(lo) + np.abs(hi) + sd.max(axis=1))
+    point = sd == 0.0
+    for _ in range(BISECT_MAX):
+        if np.all(hi - lo <= tol):
+            break
+        mid = 0.5 * (lo + hi)
+        x = mid[:, :, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(point, np.where(x >= m, np.inf, -np.inf), (x - m) / sd)
+        below = 0.5 * _ERFC(-z / SQRT2).astype(float).mean(axis=2) < levels
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi

@@ -28,8 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from irvol.core import GapSeries
+from irvol.core import LOG_2PI, GapSeries
 from irvol.irmsv import correlation_names, lower_entries
+from irvol.irsv import gap_law
 from irvol.mcmc.chain import McmcChain, McmcConfig, PosteriorSummary, summarize
 from irvol.mcmc.priors import (
     IrMsvPriors,
@@ -41,7 +42,6 @@ from irvol.mcmc.priors import (
 )
 from irvol.mcmc.samplers import AdaptiveScale, VectorAdaptiveScale, adaptive_rwm_scalar, correlation_block_step
 
-LOG_2PI = math.log(2.0 * math.pi)
 H_INIT_FLOOR = 1e-12  # added to r^2 before the log when initializing h
 MU_INIT_OFFSET = 1.27  # rough mean of -log(chi2_1), recentres log r^2 on mu
 
@@ -65,13 +65,11 @@ def _transition_arrays(phi: float, gaps: np.ndarray):
     """Per-site AR coefficients a and unit-variance factors c.
 
     Index 0 is the stationary start: a[0] = 0 and c[0] = 1 / (1 - phi^2);
-    for j >= 1, a[j] = phi**g_j and c[j] = (1 - phi**(2 g_j)) / (1 - phi^2).
-    The transition variance at sigma_eta**2 = s2 is s2 * c.
+    for j >= 1, (a[j], c[j]) = ``gap_law(phi, g_j)``.  The transition
+    variance at sigma_eta**2 = s2 is s2 * c.
     """
-    omp = 1.0 - phi * phi
-    a = np.concatenate(([0.0], phi**gaps))
-    c = np.concatenate(([1.0 / omp], (1.0 - phi ** (2.0 * gaps)) / omp))
-    return a, c
+    a, c = gap_law(phi, gaps)
+    return np.concatenate(([0.0], a)), np.concatenate(([1.0 / (1.0 - phi * phi)], c))
 
 
 def _transition_loglik(h: np.ndarray, mu: float, a: np.ndarray, v: np.ndarray) -> float:

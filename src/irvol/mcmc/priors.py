@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from irvol.core import LOG_2PI
 from irvol.irsv import IrSvParams
 
-LOG_2PI = math.log(2.0 * math.pi)
 LOG_HALF = math.log(0.5)
 
 
@@ -37,14 +37,6 @@ def beta_logpdf(x: float, a: float, b: float) -> float:
         return -math.inf
     log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     return log_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log(1.0 - x)
-
-
-def gamma_logpdf(x: float, shape: float, rate: float) -> float:
-    """Gamma log-density (shape-rate); -inf for x <= 0."""
-    if x <= 0.0:
-        return -math.inf
-    return (shape * math.log(rate) - math.lgamma(shape)
-            + (shape - 1.0) * math.log(x) - rate * x)
 
 
 def variance_logprior(sigma2: float, shape: float, rate: float) -> float:

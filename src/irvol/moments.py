@@ -25,24 +25,20 @@ from irvol.irmsv import IrMsvParams
 from irvol.irsv import IrSvParams
 
 
-def _latent_var(params: IrSvParams) -> float:
-    return params.sigma_eta**2 / (1.0 - params.phi**2)
-
-
 def irsv_mean_sq(params: IrSvParams) -> float:
     """E[r^2] = exp(mu + s2/2)."""
-    return math.exp(params.mu + _latent_var(params) / 2.0)
+    return math.exp(params.mu + params.stationary_var / 2.0)
 
 
 def irsv_var_sq(params: IrSvParams) -> float:
     """Var[r^2] = exp(2*mu + s2) * (3*exp(s2) - 1)."""
-    s2 = _latent_var(params)
+    s2 = params.stationary_var
     return math.exp(2.0 * params.mu + s2) * (3.0 * math.exp(s2) - 1.0)
 
 
 def irsv_kurtosis(params: IrSvParams) -> float:
     """Return kurtosis 3*exp(s2); exceeds 3 whenever sigma_eta > 0."""
-    return 3.0 * math.exp(_latent_var(params))
+    return 3.0 * math.exp(params.stationary_var)
 
 
 def irsv_autocov_sq(params: IrSvParams, lag: float) -> float:
@@ -55,7 +51,7 @@ def irsv_autocov_sq(params: IrSvParams, lag: float) -> float:
         raise ValueError("lag must be a positive gap time; use irsv_var_sq at lag 0")
     if params.phi <= 0:
         raise ValueError("gap-time powers need phi in (0, 1)")
-    s2 = _latent_var(params)
+    s2 = params.stationary_var
     return math.exp(2.0 * params.mu + s2) * math.expm1(s2 * params.phi**lag)
 
 

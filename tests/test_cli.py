@@ -225,6 +225,30 @@ class TestForecastAndCompare:
         assert ((outs[0] / "forecast.csv").read_bytes()
                 == (outs[1] / "forecast.csv").read_bytes())
 
+    def test_draws_per_sample_and_seed_have_no_effect(self, tmp_path, fitted):
+        data, chain = fitted
+        common = ("forecast", "--model", "irsv", "--chain", chain, "--data", data,
+                  "--holdout", 20, "--horizons", "1,5,10,15,20")
+        assert run(*common, "--draws-per-sample", 20, "--seed", 5,
+                   "--out", tmp_path / "flags") == 0
+        assert run(*common, "--out", tmp_path / "plain") == 0
+        assert ((tmp_path / "flags" / "forecast.csv").read_bytes()
+                == (tmp_path / "plain" / "forecast.csv").read_bytes())
+        manifest = json.loads((tmp_path / "flags" / "manifest.json").read_text())
+        assert "seed" not in manifest["options"]
+        assert "draws_per_sample" not in manifest["options"]
+        assert "--draws-per-sample" not in manifest["argv_resolved"]
+
+    def test_replay_of_manifest_with_draws_per_sample(self, tmp_path, fitted):
+        data, chain = fitted
+        argv = ["forecast", "--model", "irsv", "--chain", str(chain), "--data", str(data),
+                "--holdout", "20", "--horizons", "1,5", "--draws-per-sample", "20",
+                "--seed", "5", "--out", str(tmp_path / "recorded")]
+        manifest = write_json(tmp_path / "manifest.json",
+                              {"subcommand": "forecast", "argv_resolved": argv})
+        assert run("replay", "--manifest", manifest, "--out", tmp_path / "replayed") == 0
+        assert (tmp_path / "replayed" / "forecast.csv").exists()
+
     def test_empty_horizons_rejected(self, tmp_path, fitted):
         data, chain = fitted
         assert run("forecast", "--model", "irsv", "--chain", chain,

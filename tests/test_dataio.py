@@ -123,6 +123,19 @@ class TestReturnsRoundTrip:
         with pytest.raises(ValueError, match="disagrees"):
             read_returns(path)
 
+    def test_blank_line_after_header(self, tmp_path):
+        path = _write(tmp_path / "returns.csv", (
+            "timestamp,gap,r_s1\n"
+            "\n"
+            "0.0,,0.01\n"
+            "1.0,1.0,-0.02\n"
+        ))
+        ts, gaps, r, assets = read_returns(path)
+        np.testing.assert_array_equal(ts, [0.0, 1.0])
+        np.testing.assert_array_equal(gaps, [1.0])
+        np.testing.assert_array_equal(r, [[0.01, -0.02]])
+        assert assets == ["s1"]
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False, allow_infinity=False),
                     min_size=2, max_size=30))

@@ -9,12 +9,11 @@ from irvol.irmsv import (
     IrMsvParams,
     corr_from_lower,
     correlation_names,
-    forecast_msv,
     joint_observation_density,
     lower_entries,
     simulate_irmsv,
 )
-from irvol.irsv import IrSvParams, observation_density, simulate_irsv
+from irvol.irsv import IrSvParams, forecast, observation_density, simulate_irsv
 
 
 def table_params(rho=(0.6, 0.4, 0.2)):
@@ -162,34 +161,25 @@ class TestJointObservationDensity:
 
 
 class TestForecastMsv:
+    # the latent recursions are independent across assets, so each asset's
+    # forecast is the univariate one at its own parameters
     def test_noiseless_recursions(self):
         corr = CorrelationMatrix([[1.0, 0.5], [0.5, 1.0]])
         params = IrMsvParams(mu=[-1.0, -2.0], phi=[0.7, 0.4],
                              sigma=[1e-300, 1e-300], correlation=corr)
         gaps = np.array([0.5, 1.0])
-        out = forecast_msv(params, [1.0, 0.5], gaps, n_draws=32, seed=0)
+        last_h = np.array([1.0, 0.5])
         for i in range(2):
+            out = forecast(params.mu[i], params.phi[i], params.sigma[i] ** 2, last_h[i], gaps)
             expected = [params.mu[i] + params.phi[i] ** np.sum(gaps[: k + 1])
-                        * (np.array([1.0, 0.5])[i] - params.mu[i]) for k in range(2)]
-            np.testing.assert_allclose(out[i].h_mean, expected, rtol=1e-12)
+                        * (last_h[i] - params.mu[i]) for k in range(2)]
+            np.testing.assert_allclose(out.h_mean, expected, rtol=1e-12)
 
     def test_long_horizon_reverts_to_mu(self):
         params = table_params()
-        out = forecast_msv(params, [0.0, 0.0, 0.0], np.ones(300), n_draws=3000, seed=1)
         for i in range(3):
-            se = math.sqrt(params.asset(i).stationary_var / 3000)
-            assert abs(out[i].h_mean[-1] - params.mu[i]) < 4.0 * se
-
-    def test_correlation_invariance_of_h_summaries(self):
-        base = table_params((0.6, 0.4, 0.2))
-        other = table_params((-0.3, 0.1, 0.5))
-        a = forecast_msv(base, [-9.0, -9.5, -8.5], [0.5, 0.5], 128, seed=2)
-        b = forecast_msv(other, [-9.0, -9.5, -8.5], [0.5, 0.5], 128, seed=2)
-        for i in range(3):
-            np.testing.assert_array_equal(a[i].h_mean, b[i].h_mean)
-            np.testing.assert_array_equal(a[i].h_q975, b[i].h_q975)
-
-    def test_last_h_shape_checked(self):
-        params = table_params()
-        with pytest.raises(ValueError):
-            forecast_msv(params, [0.0, 0.0], [0.5], 8)
+            p = params.asset(i)
+            out = forecast(p.mu, p.phi, p.sigma_eta**2, 0.0, np.ones(300))
+            assert out.h_mean[-1] == pytest.approx(p.mu, rel=1e-12)
+            assert out.r2_mean[-1] == pytest.approx(
+                math.exp(p.mu + p.stationary_var / 2.0), rel=1e-12)

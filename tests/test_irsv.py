@@ -8,6 +8,7 @@ from irvol.core import ScaledGaps, generate_gaps
 from irvol.irsv import (
     IrSvParams,
     forecast,
+    gap_law,
     observation_density,
     simulate_irsv,
     state_transition_density,
@@ -164,42 +165,120 @@ class TestDensities:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+Z_975 = 1.959963984540054
+
+
+def mixture_cdf(x, m, v):
+    """CDF of the equal-weight mixture of N(m_d, v_d) at x."""
+    return float(np.mean([0.5 * math.erfc(-(x - md) / math.sqrt(2.0 * vd))
+                          for md, vd in zip(m, v)]))
+
+
 class TestForecast:
     def test_noiseless_recursion_is_exact(self):
-        p = IrSvParams(-1.0, 0.7, 1e-300)
         gaps = np.array([0.5, 0.25, 1.0])
-        out = forecast(p, 2.0, gaps, n_draws=100, seed=0)
-        expected = [p.mu + p.phi ** np.sum(gaps[: k + 1]) * (2.0 - p.mu)
-                    for k in range(3)]
+        out = forecast(-1.0, 0.7, 0.0, 2.0, gaps)
+        expected = [-1.0 + 0.7 ** np.sum(gaps[: k + 1]) * 3.0 for k in range(3)]
         np.testing.assert_allclose(out.h_mean, expected, rtol=1e-12)
+        # a draw without state noise is a point mass
+        np.testing.assert_array_equal(out.h_q025, out.h_mean)
+        np.testing.assert_array_equal(out.h_q975, out.h_mean)
+        np.testing.assert_allclose(out.r2_mean, np.exp(expected), rtol=1e-12)
 
     def test_one_step_conditional_mean(self):
-        p = IrSvParams(0.0, 0.5, 1e-300)
-        out = forecast(p, 2.0, [1.0], n_draws=10, seed=1)
+        out = forecast(0.0, 0.5, 0.0, 2.0, [1.0])
         assert out.h_mean[0] == 1.0
 
     def test_long_horizon_reverts_to_mu(self):
         p = IrSvParams(-3.0, 0.6, 0.5)
-        gaps = np.ones(400)
-        out = forecast(p, 4.0, gaps, n_draws=4000, seed=2)
-        se = math.sqrt(p.stationary_var / 4000)
-        assert abs(out.h_mean[-1] - p.mu) < 4.0 * se
+        out = forecast(p.mu, p.phi, p.sigma_eta**2, 4.0, np.ones(400))
+        s2 = p.stationary_var
+        assert out.h_mean[-1] == pytest.approx(p.mu, rel=1e-12)
+        assert out.r2_mean[-1] == pytest.approx(math.exp(p.mu + s2 / 2.0), rel=1e-12)
+        assert out.vol_mean[-1] == pytest.approx(math.exp(p.mu / 2.0 + s2 / 8.0), rel=1e-12)
+        assert out.h_q975[-1] == pytest.approx(p.mu + Z_975 * math.sqrt(s2), rel=1e-12)
 
     def test_r2_is_exp_h(self):
-        p = IrSvParams(-2.0, 0.5, 0.4)
-        out = forecast(p, -2.0, [0.5, 1.0], n_draws=500, seed=3)
-        assert np.all(out.r2_mean > 0)
-        assert np.all(out.r2_q025 <= out.r2_q500)
-        assert np.all(out.r2_q500 <= out.r2_q975)
+        # one draw: h is N(m, v), so every column has its textbook value
+        mu, phi, sigma2, last_h, gaps = -2.0, 0.5, 0.4, -1.0, np.array([0.5, 1.0])
+        out = forecast(mu, phi, sigma2, last_h, gaps)
+        reach = np.cumsum(gaps)
+        m = mu + phi**reach * (last_h - mu)
+        v = sigma2 * (1.0 - phi ** (2.0 * reach)) / (1.0 - phi**2)
+        np.testing.assert_allclose(out.h_mean, m, rtol=1e-12)
+        np.testing.assert_allclose(out.r2_mean, np.exp(m + v / 2.0), rtol=1e-12)
+        np.testing.assert_allclose(out.vol_mean, np.exp(m / 2.0 + v / 8.0), rtol=1e-12)
+        np.testing.assert_allclose(out.h_q025, m - Z_975 * np.sqrt(v), rtol=1e-12)
+        np.testing.assert_allclose(out.h_q975, m + Z_975 * np.sqrt(v), rtol=1e-12)
+
+    def test_mixture_cdf_at_quantiles_equals_level(self):
+        mu = np.array([-1.0, -0.5, -2.0])
+        phi = np.array([0.6, 0.8, 0.95])
+        sigma2 = np.array([0.3, 0.05, 0.6])
+        last_h = np.array([0.5, -1.0, -3.0])
+        gaps = np.array([0.3, 0.7, 2.0])
+        out = forecast(mu, phi, sigma2, last_h, gaps)
+        for k, reach in enumerate(np.cumsum(gaps)):
+            a, c = gap_law(phi, reach)
+            m, v = mu + a * (last_h - mu), sigma2 * c
+            assert out.h_mean[k] == pytest.approx(m.mean(), rel=1e-12)
+            assert mixture_cdf(out.h_q025[k], m, v) == pytest.approx(0.025, abs=1e-12)
+            assert mixture_cdf(out.h_q975[k], m, v) == pytest.approx(0.975, abs=1e-12)
+
+    def test_point_mass_mixture_quantiles(self):
+        # three noiseless draws: the mixture is uniform on their means
+        out = forecast([0.0, 1.0, 2.0], 0.5, 0.0, [0.0, 1.0, 2.0], [1.0])
+        assert out.h_q025[0] == pytest.approx(0.0, abs=1e-12)
+        assert out.h_q975[0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_matches_brute_force_simulation(self):
+        # textbook recursion, n paths per draw; every column must lie
+        # within 5 Monte Carlo standard errors of the simulated value
+        mu = np.array([-1.0, -0.5, -1.5])
+        phi = np.array([0.6, 0.8, 0.9])
+        sigma2 = np.array([0.3, 0.2, 0.1])
+        last_h = np.array([0.5, -1.0, -1.2])
+        gaps = np.array([0.3, 0.7, 1.0, 0.5])
+        n = 100_000
+        out = forecast(mu, phi, sigma2, last_h, gaps)
+        rng = np.random.default_rng(11)
+        x = np.repeat((last_h - mu)[:, None], n, axis=1)
+        for k, g in enumerate(gaps):
+            sd = np.sqrt(sigma2 * (1.0 - phi ** (2.0 * g)) / (1.0 - phi**2))
+            x = (phi**g)[:, None] * x + sd[:, None] * rng.standard_normal(x.shape)
+            h = (mu[:, None] + x).ravel()
+            for column, samples in (("h_mean", h), ("r2_mean", np.exp(h)),
+                                    ("vol_mean", np.exp(h / 2.0))):
+                se = samples.std() / math.sqrt(h.size)
+                assert abs(getattr(out, column)[k] - samples.mean()) < 5.0 * se, column
+            a, c = gap_law(phi, np.sum(gaps[: k + 1]))
+            m, v = mu + a * (last_h - mu), sigma2 * c
+            for level, q in ((0.025, out.h_q025[k]), (0.975, out.h_q975[k])):
+                density = np.mean(np.exp(-0.5 * (q - m) ** 2 / v) / np.sqrt(2.0 * math.pi * v))
+                se = math.sqrt(level * (1.0 - level) / h.size) / density
+                assert abs(q - np.quantile(h, level)) < 5.0 * se, level
+
+    def test_steps_select_rows(self):
+        full = forecast(-1.0, 0.7, 0.3, 0.5, [0.5, 0.25, 1.0])
+        some = forecast(-1.0, 0.7, 0.3, 0.5, [0.5, 0.25, 1.0], steps=[1, 3])
+        for column in ("h_mean", "h_q025", "h_q975", "r2_mean", "vol_mean"):
+            np.testing.assert_array_equal(getattr(some, column), getattr(full, column)[[0, 2]])
 
     def test_empty_gaps_rejected(self):
-        p = IrSvParams(0.0, 0.5, 1.0)
         with pytest.raises(ValueError):
-            forecast(p, 0.0, [], 10)
+            forecast(0.0, 0.5, 1.0, 0.0, [])
+
+    def test_invalid_draws_rejected(self):
+        with pytest.raises(ValueError):
+            forecast([0.0, 0.1], [0.5, 0.5, 0.5], 1.0, 0.0, [1.0])
+        with pytest.raises(ValueError):
+            forecast(0.0, -0.5, 1.0, 0.0, [1.0])
+        with pytest.raises(ValueError):
+            forecast(0.0, 0.5, 1.0, 0.0, [1.0], steps=[2])
 
     def test_deterministic(self):
-        p = IrSvParams(0.0, 0.5, 1.0)
-        a = forecast(p, 0.3, [0.5, 0.5], 64, seed=9)
-        b = forecast(p, 0.3, [0.5, 0.5], 64, seed=9)
-        np.testing.assert_array_equal(a.h_mean, b.h_mean)
-        np.testing.assert_array_equal(a.r2_q975, b.r2_q975)
+        # no random numbers: repeated calls agree bit for bit
+        args = ([0.0, 0.2], [0.5, 0.7], [1.0, 0.5], [0.3, -0.1], [0.5, 0.5])
+        a, b = forecast(*args), forecast(*args)
+        for column in ("h_mean", "h_q025", "h_q975", "r2_mean", "vol_mean"):
+            np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
