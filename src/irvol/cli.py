@@ -42,7 +42,7 @@ from irvol.dataio import (
 from irvol.irgarch import IrGarchParams, fit_ml, simulate_irgarch
 from irvol.irmsv import CorrelationMatrix, IrMsvParams, simulate_irmsv
 from irvol.irsv import IrSvParams, forecast, simulate_irsv
-from irvol.mcmc import IrMsvPriors, IrSvPriors, McmcConfig, fit_irmsv, fit_irsv
+from irvol.mcmc import IrMsvPriors, IrSvPriors, McmcConfig, asset_draws, fit_irmsv, fit_irsv
 from irvol.refresh import aggregate_one_second, refresh_sample
 
 ENV_PREFIX = "IRVOL_"
@@ -212,16 +212,23 @@ def _simulate_replicate_star(job):
     return _simulate_replicate(*job)
 
 
-def _fit_one_mcmc(model: str, data_path: str, priors_payload: dict | None,
-                  config_kwargs: dict, master_seed: int, index: int,
-                  out_dir: str) -> list[str]:
-    timestamps, gaps, matrix, assets = read_returns(data_path)
-    holdout = config_kwargs.pop("holdout")
+def _drop_holdout(matrix: np.ndarray, gaps: np.ndarray, holdout: int):
+    """Withhold the final ``holdout`` observations (and their gaps) from a fit."""
+    if holdout < 0:
+        raise ValueError("--holdout must be nonnegative")
     if holdout:
         if holdout >= matrix.shape[1]:
             raise ValueError("--holdout leaves no observations to fit")
         matrix = matrix[:, :-holdout]
         gaps = gaps[: matrix.shape[1] - 1]
+    return matrix, gaps
+
+
+def _fit_one_mcmc(model: str, data_path: str, priors_payload: dict | None,
+                  config_kwargs: dict, master_seed: int, index: int,
+                  out_dir: str) -> list[str]:
+    timestamps, gaps, matrix, assets = read_returns(data_path)
+    matrix, gaps = _drop_holdout(matrix, gaps, config_kwargs.pop("holdout"))
     seed = int(_replicate_seed(master_seed, index).generate_state(1)[0] % 2**31)
     config = McmcConfig(rng_seed=seed, **config_kwargs)
     scaled = scale_gaps(gaps)
@@ -295,12 +302,8 @@ def cmd_fit(args) -> None:
             timestamps, gaps, matrix, assets = read_returns(data_path)
             if matrix.shape[0] != 1:
                 raise ValueError(f"{model} expects exactly one return column")
+            matrix, gaps = _drop_holdout(matrix, gaps, holdout)
             r = matrix[0]
-            if holdout:
-                if holdout >= r.size:
-                    raise ValueError("--holdout leaves no observations to fit")
-                r = r[:-holdout]
-                gaps = gaps[: r.size - 1]
             fit = fit_ml(r, gaps, arch_only=(model == "irarch"))
             path = Path(out_dir) / f"{Path(data_path).stem}.fit.json"
             with open(path, "w") as handle:
@@ -375,22 +378,6 @@ def _parse_horizons(text: str) -> list[int]:
     return sorted(set(horizons))
 
 
-def _latent_column(names, prefix: str) -> str:
-    """Latest-site latent column among names like '<prefix><site>'."""
-    best, best_site = None, -1
-    for name in names:
-        if name.startswith(prefix):
-            try:
-                site = int(name[len(prefix):])
-            except ValueError:
-                continue
-            if site > best_site:
-                best, best_site = name, site
-    if best is None:
-        raise ValueError(f"chain holds no latent columns with prefix {prefix!r}")
-    return best
-
-
 def cmd_forecast(args) -> None:
     started = time.time()
     model = args.model
@@ -417,26 +404,12 @@ def cmd_forecast(args) -> None:
         )
     future_gaps = gaps[n_fit - 1:] / scale_factor
 
+    groups = asset_draws(chain)
+    if len(groups) != len(assets):
+        raise ValueError(f"the chain has {len(groups)} asset(s) but the data file "
+                         f"has {len(assets)}")
     rows = []
-    if model == "irsv":
-        if matrix.shape[0] != 1:
-            raise ValueError("irsv expects exactly one return column")
-        groups = [("s1" if not assets else assets[0],
-                   chain.column("mu"), chain.column("phi"),
-                   chain.column("sigma_eta") ** 2,
-                   chain.column(_latent_column(chain.names, "h_")))]
-    elif model == "irmsv":
-        groups = []
-        for i, asset in enumerate(assets):
-            groups.append((asset,
-                           chain.column(f"mu_{i + 1}"),
-                           chain.column(f"phi_{i + 1}"),
-                           chain.column(f"sigma2_{i + 1}"),
-                           chain.column(_latent_column(chain.names, f"h{i + 1}_"))))
-    else:
-        raise ValueError(f"unknown forecast model {model!r}")
-
-    for asset, mu, phi, sigma2, last_h in groups:
+    for asset, (mu, phi, sigma2, last_h) in zip(assets, groups):
         fc = forecast(mu, phi, sigma2, last_h, future_gaps, steps=horizons)
         for k, horizon in enumerate(horizons):
             vol = float(fc.vol_mean[k])

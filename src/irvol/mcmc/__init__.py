@@ -8,13 +8,8 @@ from irvol.mcmc.chain import (
     effective_sample_size,
     summarize,
 )
-from irvol.mcmc.fit import fit_irmsv, fit_irsv
-from irvol.mcmc.priors import (
-    IrMsvPriors,
-    IrSvPriors,
-    log_prior_irmsv,
-    log_prior_irsv,
-)
+from irvol.mcmc.fit import asset_draws, fit_irmsv, fit_irsv
+from irvol.mcmc.priors import IrMsvPriors, IrSvPriors
 from irvol.mcmc.samplers import (
     AdaptiveScale,
     VectorAdaptiveScale,
@@ -32,11 +27,10 @@ __all__ = [
     "PosteriorSummary",
     "VectorAdaptiveScale",
     "adaptive_rwm_scalar",
+    "asset_draws",
     "correlation_block_step",
     "effective_sample_size",
     "fit_irmsv",
     "fit_irsv",
-    "log_prior_irmsv",
-    "log_prior_irsv",
     "summarize",
 ]

@@ -1,22 +1,30 @@
-"""Posterior samplers for the gap-time stochastic volatility models.
+"""Posterior sampler for the gap-time stochastic volatility models.
 
-One chain is a strictly sequential sweep per iteration:
+The univariate model is the multivariate one with p = 1 and no
+correlation, so one engine samples both.  It takes a (p, T) return
+matrix over shared gaps, and one chain is a strictly sequential sweep
+per iteration:
 
 * every latent log-volatility gets a single-site adaptive random-walk
-  update against its full conditional (observation density at the site
+  update against its full conditional (observation density at the site,
+  which couples assets at a fixed time through the precision matrix,
   plus the transitions into and out of it).  Sites of the same parity
-  have mutually independent full conditionals, so the even sites are
-  updated in one vectorized pass and then the odd sites in another —
-  the same per-site updates, just batched;
-* each scalar parameter gets an adaptive random-walk update (phi on the
-  (phi + 1)/2 scale for the univariate model and on its natural scale
-  for the multivariate one, sigma_eta**2 on the log scale, with the
-  Jacobians folded into the targets);
-* the multivariate model additionally updates all free correlations
-  jointly by a block random walk.
+  have mutually independent full conditionals, so the even sites of an
+  asset are updated in one vectorized pass and then the odd sites in
+  another — the same per-site updates, just batched;
+* per asset, mu, phi and sigma_eta**2 get adaptive random-walk updates
+  in that order (sigma_eta**2 on the log scale, with the Jacobian folded
+  into the target).  How phi is walked is each model's choice: ``irsv``
+  walks (phi + 1)/2 under its Beta prior, ``irmsv`` walks phi under its
+  truncated normal prior;
+* for p > 1, all free correlations are updated jointly by a block
+  random walk.
 
 Proposal scales adapt toward fixed acceptance targets during burn-in and
 are frozen afterwards.  Chains are bit-reproducible for a fixed seed.
+``fit_irsv`` and ``fit_irmsv`` validate their inputs, run the engine and
+name its columns; ``asset_draws`` reads each asset's parameters and last
+stored latent state back out of a chain of either model.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,166 +91,17 @@ def _safe_exp(x: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(x, 700.0))
 
 
-def _sv_sweep(h, parity, r2, mu, a, v, scales, rng) -> int:
-    """Vectorized single-site updates of one parity class; returns accepts."""
-    sites = parity.sites
-    if sites.size == 0:
-        return 0
-    cur = h[sites]
-    prop = cur + scales.values[sites] * rng.standard_normal(sites.size)
-    logu = np.log(rng.random(sites.size))
-    delta = -0.5 * ((prop - cur) + r2[sites] * (_safe_exp(-prop) - _safe_exp(-cur)))
-    # transition into the site; a[0] = 0 neutralizes the wrapped h[-1] read
-    mean_in = mu + a[sites] * (h[sites - 1] - mu)
-    delta -= ((prop - mean_in) ** 2 - (cur - mean_in) ** 2) / (2.0 * v[sites])
-    # transition out of every non-terminal site
-    ns = parity.next_sites
-    if ns.size:
-        h_next = h[ns]
-        shifted_prop = prop[parity.has_next]
-        shifted_cur = cur[parity.has_next]
-        mean_new = mu + a[ns] * (shifted_prop - mu)
-        mean_old = mu + a[ns] * (shifted_cur - mu)
-        delta[parity.has_next] -= ((h_next - mean_new) ** 2 - (h_next - mean_old) ** 2) / (2.0 * v[ns])
-    accept = logu < delta
-    h[sites[accept]] = prop[accept]
-    scales.record(sites, accept)
-    return int(accept.sum())
-
-
-def _latent_site_names(prefix: str, length: int, stride: int) -> tuple[np.ndarray, list[str]]:
+def _latent_sites(length: int, stride: int) -> np.ndarray:
+    """Every ``stride``-th site plus the final one, which forecasting needs."""
     sites = np.arange(0, length, stride)
     if sites[-1] != length - 1:
         sites = np.append(sites, length - 1)
-    return sites, [f"{prefix}{j}" for j in sites]
+    return sites
 
 
 def _progress(it: int, total: int, every: int) -> None:
     if every and it % every == 0:
         print(f"iteration {it}/{total}", file=sys.stderr)
-
-
-def fit_irsv(series: GapSeries, priors: IrSvPriors | None = None,
-             config: McmcConfig | None = None) -> tuple[McmcChain, PosteriorSummary]:
-    """Sample the joint posterior of (h, mu, phi, sigma_eta) for one series.
-
-    ``series.gaps`` must already be scaled into (0, 1].  The chain stores
-    mu, phi, sigma_eta, and a strided subset of latent sites (always
-    including the final one, which forecasting needs).
-    """
-    priors = priors or IrSvPriors()
-    config = config or McmcConfig(n_iterations=20_000, burn_in=5_000, thin=10)
-    r = series.values
-    length = r.size
-    if length < 10:
-        raise ValueError("need at least 10 observations to fit")
-    gaps = series.gaps
-    if float(np.max(gaps)) > 1.0:
-        raise ValueError("gaps must be scaled into (0, 1] before fitting")
-    rng = np.random.default_rng(config.rng_seed)
-
-    r2 = r * r
-    positive = r2[r2 > 0]
-    if positive.size == 0:
-        warnings.warn("all returns are zero; the volatility level is unidentified")
-        mu = 0.0
-    else:
-        mu = float(np.mean(np.log(positive))) + MU_INIT_OFFSET
-    w = 0.75  # phi = 0.5
-    sigma2 = 1.0
-    h = np.log(r2 + H_INIT_FLOOR)
-
-    a_cur, c_cur = _transition_arrays(2.0 * w - 1.0, gaps)
-    v_cur = sigma2 * c_cur
-
-    parities = _parities(length)
-    h_scales = VectorAdaptiveScale(length, 1.0, config.target_accept_scalar,
-                                   config.adapt_interval)
-    mu_scale = AdaptiveScale(0.2, config.target_accept_scalar, config.adapt_interval)
-    w_scale = AdaptiveScale(0.05, config.target_accept_scalar, config.adapt_interval)
-    u_scale = AdaptiveScale(0.3, config.target_accept_scalar, config.adapt_interval)
-
-    stored_sites, site_names = _latent_site_names("h_", length, config.latent_stride)
-    names = ["mu", "phi", "sigma_eta"] + (site_names if config.store_latent else [])
-    draws = np.empty((config.n_draws, len(names)))
-    row = 0
-    accepts = {"h": 0, "mu": 0, "phi": 0, "sigma_eta": 0}
-    tracked_iters = 0
-
-    ba, bb = priors.phi_beta
-    gshape, grate = priors.precision_gamma
-    pm_mean, pm_var = priors.mu_normal
-
-    if config.burn_in == 0:
-        for scale in (h_scales, mu_scale, w_scale, u_scale):
-            scale.freeze()
-
-    for it in range(1, config.n_iterations + 1):
-        h_acc = 0
-        for parity in parities:
-            h_acc += _sv_sweep(h, parity, r2, mu, a_cur, v_cur, h_scales, rng)
-        h_scales.sweep_done()
-
-        def mu_target(m):
-            return normal_logpdf(m, pm_mean, pm_var) + _transition_loglik(h, m, a_cur, v_cur)
-
-        step = adaptive_rwm_scalar(mu, mu_target, mu_scale, rng)
-        mu = step.value
-        mu_accepted = step.accepted
-
-        def w_target(wv):
-            if not (0.0 < wv < 1.0):
-                return -math.inf
-            phiv = 2.0 * wv - 1.0
-            if phiv <= 0.0:
-                return -math.inf
-            a2, c2 = _transition_arrays(phiv, gaps)
-            return beta_logpdf(wv, ba, bb) + _transition_loglik(h, mu, a2, sigma2 * c2)
-
-        step = adaptive_rwm_scalar(w, w_target, w_scale, rng)
-        if step.accepted:
-            w = step.value
-            a_cur, c_cur = _transition_arrays(2.0 * w - 1.0, gaps)
-            v_cur = sigma2 * c_cur
-        w_accepted = step.accepted
-
-        def u_target(uv):
-            if uv > 700.0:
-                return -math.inf
-            s2v = math.exp(uv)
-            return (variance_logprior(s2v, gshape, grate) + uv
-                    + _transition_loglik(h, mu, a_cur, s2v * c_cur))
-
-        step = adaptive_rwm_scalar(math.log(sigma2), u_target, u_scale, rng)
-        if step.accepted:
-            sigma2 = math.exp(step.value)
-            v_cur = sigma2 * c_cur
-        u_accepted = step.accepted
-
-        if it > config.burn_in:
-            tracked_iters += 1
-            accepts["h"] += h_acc
-            accepts["mu"] += mu_accepted
-            accepts["phi"] += w_accepted
-            accepts["sigma_eta"] += u_accepted
-            if (it - config.burn_in) % config.thin == 0:
-                head = [mu, 2.0 * w - 1.0, math.sqrt(sigma2)]
-                draws[row] = head + (list(h[stored_sites]) if config.store_latent else [])
-                row += 1
-        elif it == config.burn_in:
-            for scale in (h_scales, mu_scale, w_scale, u_scale):
-                scale.freeze()
-        _progress(it, config.n_iterations, config.progress_every)
-
-    denom = max(tracked_iters, 1)
-    rates = {
-        "h": accepts["h"] / (denom * length),
-        "mu": accepts["mu"] / denom,
-        "phi": accepts["phi"] / denom,
-        "sigma_eta": accepts["sigma_eta"] / denom,
-    }
-    chain = McmcChain(tuple(names), draws, rates, config)
-    return chain, summarize(chain)
 
 
 def _msv_sweep(h_i, eps_i, r_i, parity, mu_i, a, v, qii, cross, scales, rng) -> int:
@@ -255,11 +114,13 @@ def _msv_sweep(h_i, eps_i, r_i, parity, mu_i, a, v, qii, cross, scales, rng) -> 
     prop = cur + scales.values[sites] * rng.standard_normal(sites.size)
     logu = np.log(rng.random(sites.size))
     eps_prop = r_i[sites] * _safe_exp(-prop / 2.0)
-    delta = (-0.5 * (prop - cur)
-             - 0.5 * qii * (eps_prop**2 - eps_cur**2)
-             - (eps_prop - eps_cur) * cross[sites])
+    delta = -0.5 * (prop - cur) - 0.5 * qii * (eps_prop**2 - eps_cur**2)
+    if cross is not None:
+        delta -= (eps_prop - eps_cur) * cross[sites]
+    # transition into the site; a[0] = 0 neutralizes the wrapped h[-1] read
     mean_in = mu_i + a[sites] * (h_i[sites - 1] - mu_i)
     delta -= ((prop - mean_in) ** 2 - (cur - mean_in) ** 2) / (2.0 * v[sites])
+    # transition out of every non-terminal site
     ns = parity.next_sites
     if ns.size:
         h_next = h_i[ns]
@@ -274,17 +135,234 @@ def _msv_sweep(h_i, eps_i, r_i, parity, mu_i, a, v, qii, cross, scales, rng) -> 
     return int(accept.sum())
 
 
+class _PhiWalk(NamedTuple):
+    """The coordinate x a model's sampler walks phi on, with phi = to_phi(x).
+
+    ``log_prior`` is the prior log-density of x, -inf outside the walk's
+    support; the walk starts at ``start`` with proposal scale ``scale``.
+    """
+
+    start: float
+    scale: float
+    to_phi: Callable[[float], float]
+    log_prior: Callable[[float], float]
+
+
+def _irsv_walk(priors: IrSvPriors) -> _PhiWalk:
+    """w = (phi + 1)/2 under Beta(phi_beta), from w = 0.75, with phi kept in (0, 1)."""
+    ba, bb = priors.phi_beta
+
+    def log_prior(w: float) -> float:
+        if not (0.0 < w < 1.0) or 2.0 * w - 1.0 <= 0.0:
+            return -math.inf
+        return beta_logpdf(w, ba, bb)
+
+    return _PhiWalk(0.75, 0.05, lambda w: 2.0 * w - 1.0, log_prior)
+
+
+def _irmsv_walk(priors: IrMsvPriors) -> _PhiWalk:
+    """phi itself under Normal(phi_normal) truncated to (-1, 1), from 0.5, kept in (0, 1)."""
+    mean, var = priors.phi_normal
+
+    def log_prior(phi: float) -> float:
+        if phi <= 0.0 or phi >= 1.0:
+            return -math.inf
+        return truncated_normal_logpdf(phi, mean, var, -1.0, 1.0)
+
+    return _PhiWalk(0.5, 0.1, lambda phi: phi, log_prior)
+
+
+class _Run(NamedTuple):
+    """Engine output.
+
+    Each row of ``draws`` is mu (p), phi (p), sigma2 (p), the free
+    correlations, then each asset's latent states at ``sites`` (when
+    stored).  ``rates`` holds the h and correlation acceptance rates and
+    per-asset lists for mu, phi and sigma2.
+    """
+
+    draws: np.ndarray
+    sites: np.ndarray
+    rates: dict
+
+
+def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
+            config: McmcConfig) -> _Run:
+    """Run one chain on a (p, T) return matrix over shared scaled gaps."""
+    p, length = r.shape
+    rng = np.random.default_rng(config.rng_seed)
+
+    r2 = r * r
+    mu = np.empty(p)
+    for i in range(p):
+        positive = r2[i][r2[i] > 0]
+        if positive.size == 0:
+            warnings.warn(f"asset {i + 1}: all returns are zero; the volatility level "
+                          "is unidentified")
+            mu[i] = 0.0
+        else:
+            mu[i] = float(np.mean(np.log(positive))) + MU_INIT_OFFSET
+    x = np.full(p, walk.start)
+    phi = np.full(p, walk.to_phi(walk.start))
+    sigma2 = np.ones(p)
+    h = np.log(r2 + H_INIT_FLOOR)
+    eps = r * np.exp(-h / 2.0)
+    corr = np.eye(p)
+    prec = np.eye(p)
+
+    trans = [_transition_arrays(float(phi[i]), gaps) for i in range(p)]
+    v = [sigma2[i] * trans[i][1] for i in range(p)]  # transition variances
+    parities = _parities(length)
+    target, interval = config.target_accept_scalar, config.adapt_interval
+    h_scales = [VectorAdaptiveScale(length, 1.0, target, interval) for _ in range(p)]
+    mu_scales = [AdaptiveScale(0.2, target, interval) for _ in range(p)]
+    x_scales = [AdaptiveScale(walk.scale, target, interval) for _ in range(p)]
+    u_scales = [AdaptiveScale(0.3, target, interval) for _ in range(p)]
+    corr_scale = AdaptiveScale(0.05, config.target_accept_block, interval)
+    all_scales = h_scales + mu_scales + x_scales + u_scales + [corr_scale]
+
+    sites = _latent_sites(length, config.latent_stride)
+    n_cols = 3 * p + p * (p - 1) // 2 + (p * sites.size if config.store_latent else 0)
+    draws = np.empty((config.n_draws, n_cols))
+    row = 0
+    h_accepts = corr_accepts = tracked_iters = 0
+    mu_accepts, phi_accepts, s2_accepts = [0] * p, [0] * p, [0] * p
+
+    gshape, grate = priors.precision_gamma
+    pm_mean, pm_var = priors.mu_normal
+
+    if config.burn_in == 0:
+        for scale in all_scales:
+            scale.freeze()
+
+    for it in range(1, config.n_iterations + 1):
+        tracking = it > config.burn_in
+        h_acc = 0
+        for i in range(p):
+            # a lone asset has no cross term: it would subtract exact zeros
+            cross = prec[i] @ eps - prec[i, i] * eps[i] if p > 1 else None
+            for parity in parities:
+                h_acc += _msv_sweep(h[i], eps[i], r[i], parity, float(mu[i]), trans[i][0],
+                                    v[i], float(prec[i, i]), cross, h_scales[i], rng)
+            h_scales[i].sweep_done()
+
+        for i in range(p):
+            a_i, c_i = trans[i]
+            h_i = h[i]
+            s2_i = float(sigma2[i])
+
+            def mu_target(m, a_i=a_i, v_i=v[i], h_i=h_i):
+                return normal_logpdf(m, pm_mean, pm_var) + _transition_loglik(h_i, m, a_i, v_i)
+
+            step = adaptive_rwm_scalar(float(mu[i]), mu_target, mu_scales[i], rng)
+            mu[i] = step.value
+            mu_accepts[i] += step.accepted if tracking else 0
+
+            def x_target(xv, mu_i=float(mu[i]), h_i=h_i, s2_i=s2_i):
+                log_prior = walk.log_prior(xv)
+                if log_prior == -math.inf:
+                    return log_prior
+                a2, c2 = _transition_arrays(walk.to_phi(xv), gaps)
+                return log_prior + _transition_loglik(h_i, mu_i, a2, s2_i * c2)
+
+            step = adaptive_rwm_scalar(float(x[i]), x_target, x_scales[i], rng)
+            if step.accepted:
+                x[i] = step.value
+                phi[i] = walk.to_phi(step.value)
+                trans[i] = _transition_arrays(float(phi[i]), gaps)
+                a_i, c_i = trans[i]
+                v[i] = s2_i * c_i
+            phi_accepts[i] += step.accepted if tracking else 0
+
+            def u_target(uv, mu_i=float(mu[i]), a_i=a_i, c_i=c_i, h_i=h_i):
+                if uv > 700.0:
+                    return -math.inf
+                s2v = math.exp(uv)
+                return (variance_logprior(s2v, gshape, grate) + uv
+                        + _transition_loglik(h_i, mu_i, a_i, s2v * c_i))
+
+            step = adaptive_rwm_scalar(math.log(s2_i), u_target, u_scales[i], rng)
+            if step.accepted:
+                sigma2[i] = math.exp(step.value)
+                v[i] = sigma2[i] * c_i
+            s2_accepts[i] += step.accepted if tracking else 0
+
+        # with one asset there is no free correlation, and the step would
+        # still draw from the stream
+        if p > 1:
+            scatter = eps @ eps.T
+
+            def corr_target(candidate):
+                chol = np.linalg.cholesky(candidate)
+                logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+                quad = float(np.sum(np.linalg.inv(candidate) * scatter))
+                return (priors.lkj_eta - 1.0) * logdet - 0.5 * (length * logdet + quad)
+
+            block = correlation_block_step(corr, corr_scale, rng, corr_target)
+            if block.accepted:
+                corr = block.matrix
+                prec = np.linalg.inv(corr)
+            corr_accepts += block.accepted if tracking else 0
+
+        if tracking:
+            tracked_iters += 1
+            h_accepts += h_acc
+            if (it - config.burn_in) % config.thin == 0:
+                parts = [mu, phi, sigma2, lower_entries(corr)]
+                if config.store_latent:
+                    parts.append(h[:, sites].ravel())
+                draws[row] = np.concatenate(parts)
+                row += 1
+        elif it == config.burn_in:
+            for scale in all_scales:
+                scale.freeze()
+        _progress(it, config.n_iterations, config.progress_every)
+
+    denom = max(tracked_iters, 1)
+    rates = {
+        "h": h_accepts / (denom * p * length),
+        "correlation": corr_accepts / denom,
+        "mu": [count / denom for count in mu_accepts],
+        "phi": [count / denom for count in phi_accepts],
+        "sigma2": [count / denom for count in s2_accepts],
+    }
+    return _Run(draws, sites, rates)
+
+
+def fit_irsv(series: GapSeries, priors: IrSvPriors | None = None,
+             config: McmcConfig | None = None) -> tuple[McmcChain, PosteriorSummary]:
+    """Sample the joint posterior of (h, mu, phi, sigma_eta) for one series.
+
+    ``series.gaps`` must already be scaled into (0, 1].  The chain stores
+    mu, phi, sigma_eta, and a strided subset of latent sites (always
+    including the final one, which forecasting needs).
+    """
+    priors = priors or IrSvPriors()
+    config = config or McmcConfig(n_iterations=20_000, burn_in=5_000, thin=10)
+    r = series.values
+    if r.size < 10:
+        raise ValueError("need at least 10 observations to fit")
+    if float(np.max(series.gaps)) > 1.0:
+        raise ValueError("gaps must be scaled into (0, 1] before fitting")
+    run = _sample(r[np.newaxis, :], series.gaps, _irsv_walk(priors), priors, config)
+    draws = run.draws
+    draws[:, 2] = np.sqrt(draws[:, 2])
+    names = ["mu", "phi", "sigma_eta"]
+    if config.store_latent:
+        names += [f"h_{j}" for j in run.sites]
+    rates = {"h": run.rates["h"], "mu": run.rates["mu"][0], "phi": run.rates["phi"][0],
+             "sigma_eta": run.rates["sigma2"][0]}
+    chain = McmcChain(tuple(names), draws, rates, config)
+    return chain, summarize(chain)
+
+
 def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
               config: McmcConfig | None = None) -> tuple[McmcChain, PosteriorSummary]:
     """Sample the joint posterior of the multivariate model.
 
     ``returns`` is a (p, T) matrix of synchronized returns sharing one
-    gap sequence (scaled into (0, 1]).  Latent sites are updated per
-    (asset, time) scalar; the observation full conditional couples assets
-    at a fixed time through the correlation matrix, whose free entries
-    get a joint block random-walk update each iteration.  The chain
-    stores mu_i, phi_i, sigma2_i, the correlations, and strided latent
-    sites per asset.
+    gap sequence (scaled into (0, 1]).  The chain stores mu_i, phi_i,
+    sigma2_i, the correlations, and strided latent sites per asset.
     """
     priors = priors or IrMsvPriors()
     config = config or McmcConfig(n_iterations=20_000, burn_in=5_000, thin=10)
@@ -299,150 +377,51 @@ def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
         raise ValueError("need exactly T - 1 shared gap times")
     if np.any(g <= 0) or float(np.max(g)) > 1.0:
         raise ValueError("gaps must be scaled into (0, 1] before fitting")
-    rng = np.random.default_rng(config.rng_seed)
-
-    r2 = r * r
-    mu = np.empty(p)
-    for i in range(p):
-        positive = r2[i][r2[i] > 0]
-        if positive.size == 0:
-            warnings.warn(f"asset {i + 1}: all returns are zero; volatility level unidentified")
-            mu[i] = 0.0
-        else:
-            mu[i] = float(np.mean(np.log(positive))) + MU_INIT_OFFSET
-    phi = np.full(p, 0.5)
-    sigma2 = np.ones(p)
-    h = np.log(r2 + H_INIT_FLOOR)
-    eps = r * np.exp(-h / 2.0)
-    corr = np.eye(p)
-    prec = np.eye(p)
-
-    trans = [_transition_arrays(float(phi[i]), g) for i in range(p)]
-    parities = _parities(length)
-    h_scales = [VectorAdaptiveScale(length, 1.0, config.target_accept_scalar,
-                                    config.adapt_interval) for _ in range(p)]
-    mu_scales = [AdaptiveScale(0.2, config.target_accept_scalar, config.adapt_interval)
-                 for _ in range(p)]
-    phi_scales = [AdaptiveScale(0.1, config.target_accept_scalar, config.adapt_interval)
-                  for _ in range(p)]
-    u_scales = [AdaptiveScale(0.3, config.target_accept_scalar, config.adapt_interval)
-                for _ in range(p)]
-    corr_scale = AdaptiveScale(0.05, config.target_accept_block, config.adapt_interval)
-
-    names: list[str] = []
-    names += [f"mu_{i + 1}" for i in range(p)]
-    names += [f"phi_{i + 1}" for i in range(p)]
-    names += [f"sigma2_{i + 1}" for i in range(p)]
-    names += correlation_names(p)
-    stored_sites = None
+    run = _sample(r, g, _irmsv_walk(priors), priors, config)
+    assets = range(1, p + 1)
+    names = ([f"mu_{i}" for i in assets] + [f"phi_{i}" for i in assets]
+             + [f"sigma2_{i}" for i in assets] + correlation_names(p))
     if config.store_latent:
-        latent_names = []
-        for i in range(p):
-            stored_sites, asset_names = _latent_site_names(f"h{i + 1}_", length,
-                                                           config.latent_stride)
-            latent_names += asset_names
-        names += latent_names
-    draws = np.empty((config.n_draws, len(names)))
-    row = 0
-    accepts: dict[str, float] = {"h": 0, "correlation": 0}
-    for i in range(p):
-        accepts.update({f"mu_{i + 1}": 0, f"phi_{i + 1}": 0, f"sigma2_{i + 1}": 0})
-    tracked_iters = 0
-
-    gshape, grate = priors.precision_gamma
-    pm_mean, pm_var = priors.mu_normal
-    ph_mean, ph_var = priors.phi_normal
-    eta = priors.lkj_eta
-
-    if config.burn_in == 0:
-        for group in (h_scales, mu_scales, phi_scales, u_scales):
-            for scale in group:
-                scale.freeze()
-        corr_scale.freeze()
-
-    for it in range(1, config.n_iterations + 1):
-        h_acc = 0
-        for i in range(p):
-            cross = prec[i] @ eps - prec[i, i] * eps[i]
-            a_i, c_i = trans[i]
-            v_i = sigma2[i] * c_i
-            for parity in parities:
-                h_acc += _msv_sweep(h[i], eps[i], r[i], parity, float(mu[i]), a_i,
-                                    v_i, float(prec[i, i]), cross, h_scales[i], rng)
-            h_scales[i].sweep_done()
-
-        for i in range(p):
-            a_i, c_i = trans[i]
-            h_i = h[i]
-            s2_i = float(sigma2[i])
-
-            def mu_target(m, i=i, a_i=a_i, c_i=c_i, h_i=h_i, s2_i=s2_i):
-                return normal_logpdf(m, pm_mean, pm_var) + _transition_loglik(
-                    h_i, m, a_i, s2_i * c_i)
-
-            step = adaptive_rwm_scalar(float(mu[i]), mu_target, mu_scales[i], rng)
-            mu[i] = step.value
-            accepts[f"mu_{i + 1}"] += step.accepted if it > config.burn_in else 0
-
-            def phi_target(ph, i=i, h_i=h_i, s2_i=s2_i):
-                if ph <= 0.0 or ph >= 1.0:
-                    return -math.inf
-                a2, c2 = _transition_arrays(ph, g)
-                return truncated_normal_logpdf(ph, ph_mean, ph_var, -1.0, 1.0) + \
-                    _transition_loglik(h_i, float(mu[i]), a2, s2_i * c2)
-
-            step = adaptive_rwm_scalar(float(phi[i]), phi_target, phi_scales[i], rng)
-            if step.accepted:
-                phi[i] = step.value
-                trans[i] = _transition_arrays(float(phi[i]), g)
-                a_i, c_i = trans[i]
-            accepts[f"phi_{i + 1}"] += step.accepted if it > config.burn_in else 0
-
-            def u_target(uv, i=i, a_i=a_i, c_i=c_i, h_i=h_i):
-                if uv > 700.0:
-                    return -math.inf
-                s2v = math.exp(uv)
-                return (variance_logprior(s2v, gshape, grate) + uv
-                        + _transition_loglik(h_i, float(mu[i]), a_i, s2v * c_i))
-
-            step = adaptive_rwm_scalar(math.log(float(sigma2[i])), u_target,
-                                       u_scales[i], rng)
-            if step.accepted:
-                sigma2[i] = math.exp(step.value)
-            accepts[f"sigma2_{i + 1}"] += step.accepted if it > config.burn_in else 0
-
-        scatter = eps @ eps.T
-
-        def corr_target(candidate):
-            chol = np.linalg.cholesky(candidate)
-            logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-            quad = float(np.sum(np.linalg.inv(candidate) * scatter))
-            return (eta - 1.0) * logdet - 0.5 * (length * logdet + quad)
-
-        block = correlation_block_step(corr, corr_scale, rng, corr_target)
-        if block.accepted:
-            corr = block.matrix
-            prec = np.linalg.inv(corr)
-        accepts["correlation"] += block.accepted if it > config.burn_in else 0
-
-        if it > config.burn_in:
-            tracked_iters += 1
-            accepts["h"] += h_acc
-            if (it - config.burn_in) % config.thin == 0:
-                parts = [mu, phi, sigma2, lower_entries(corr)]
-                if config.store_latent:
-                    parts.append(h[:, stored_sites].ravel())
-                draws[row] = np.concatenate(parts)
-                row += 1
-        elif it == config.burn_in:
-            for group in (h_scales, mu_scales, phi_scales, u_scales):
-                for scale in group:
-                    scale.freeze()
-            corr_scale.freeze()
-        _progress(it, config.n_iterations, config.progress_every)
-
-    denom = max(tracked_iters, 1)
-    rates = {key: value / denom for key, value in accepts.items()}
-    rates["h"] = accepts["h"] / (denom * p * length)
-    chain = McmcChain(tuple(names), draws, rates, config)
+        names += [f"h{i}_{j}" for i in assets for j in run.sites]
+    rates = {"h": run.rates["h"], "correlation": run.rates["correlation"]}
+    for i in assets:
+        rates.update({f"mu_{i}": run.rates["mu"][i - 1], f"phi_{i}": run.rates["phi"][i - 1],
+                      f"sigma2_{i}": run.rates["sigma2"][i - 1]})
+    chain = McmcChain(tuple(names), run.draws, rates, config)
     return chain, summarize(chain)
+
+
+def _last_latent_column(names, prefix: str) -> str:
+    """Latest-site latent column among names like '<prefix><site>'."""
+    best, best_site = None, -1
+    for name in names:
+        if name.startswith(prefix):
+            try:
+                site = int(name[len(prefix):])
+            except ValueError:
+                continue
+            if site > best_site:
+                best, best_site = name, site
+    if best is None:
+        raise ValueError(f"chain holds no latent columns with prefix {prefix!r}")
+    return best
+
+
+def asset_draws(chain: McmcChain) -> list[tuple[np.ndarray, ...]]:
+    """Each asset's (mu, phi, sigma2, last stored h) draws.
+
+    Reads either layout: ``fit_irsv``'s mu, phi, sigma_eta, h_<site> (one
+    asset) or ``fit_irmsv``'s mu_i, phi_i, sigma2_i, h<i>_<site>.
+    """
+    if "mu" in chain.names:
+        return [(chain.column("mu"), chain.column("phi"), chain.column("sigma_eta") ** 2,
+                 chain.column(_last_latent_column(chain.names, "h_")))]
+    out = []
+    while f"mu_{len(out) + 1}" in chain.names:
+        i = len(out) + 1
+        out.append((chain.column(f"mu_{i}"), chain.column(f"phi_{i}"),
+                    chain.column(f"sigma2_{i}"),
+                    chain.column(_last_latent_column(chain.names, f"h{i}_"))))
+    if not out:
+        raise ValueError("chain holds neither irsv nor irmsv parameter columns")
+    return out

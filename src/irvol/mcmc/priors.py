@@ -21,9 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from irvol.core import LOG_2PI
-from irvol.irsv import IrSvParams
-
-LOG_HALF = math.log(0.5)
 
 
 def normal_logpdf(x: float, mean: float, variance: float) -> float:
@@ -113,58 +110,3 @@ class IrMsvPriors:
             raise ValueError("normal prior variances must be positive")
         if self.lkj_eta <= 0:
             raise ValueError("lkj_eta must be positive")
-
-
-def _unpack_sv(params):
-    if isinstance(params, IrSvParams):
-        return params.mu, params.phi, params.sigma_eta
-    mu, phi, sigma_eta = params
-    return float(mu), float(phi), float(sigma_eta)
-
-
-def log_prior_irsv(params, priors: IrSvPriors | None = None) -> float:
-    """Joint log prior at (mu, phi, sigma_eta); -inf outside the support.
-
-    ``params`` may be an ``IrSvParams`` or a plain (mu, phi, sigma_eta)
-    triple (the latter allows evaluating points outside the parameter
-    space, which samplers need).  The phi term is the Beta density of
-    (phi + 1)/2 plus the log(1/2) Jacobian of the rescaling; the
-    sigma_eta term is the induced inverse-gamma density on sigma_eta**2.
-    """
-    priors = priors or IrSvPriors()
-    mu, phi, sigma_eta = _unpack_sv(params)
-    if not (-1.0 < phi < 1.0) or sigma_eta <= 0 or not np.isfinite(mu):
-        return -math.inf
-    total = beta_logpdf((phi + 1.0) / 2.0, *priors.phi_beta) + LOG_HALF
-    total += variance_logprior(sigma_eta**2, *priors.precision_gamma)
-    total += normal_logpdf(mu, *priors.mu_normal)
-    return total
-
-
-def log_prior_irmsv(params, priors: IrMsvPriors | None = None) -> float:
-    """Joint log prior for the multivariate model; -inf outside the support.
-
-    ``params`` may be an ``IrMsvParams`` or a tuple
-    (mu_vector, phi_vector, sigma_vector, correlation_values).
-    """
-    from irvol.irmsv import IrMsvParams  # local import avoids a cycle
-
-    priors = priors or IrMsvPriors()
-    if isinstance(params, IrMsvParams):
-        mu, phi, sigma, corr = params.mu, params.phi, params.sigma, params.correlation.values
-    else:
-        mu, phi, sigma, corr = params
-    mu = np.asarray(mu, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    corr = np.asarray(corr, dtype=float)
-    if np.any(np.abs(phi) >= 1.0) or np.any(sigma <= 0):
-        return -math.inf
-    total = lkj_log_density(corr, priors.lkj_eta)
-    if total == -math.inf:
-        return -math.inf
-    for i in range(mu.size):
-        total += normal_logpdf(float(mu[i]), *priors.mu_normal)
-        total += variance_logprior(float(sigma[i]) ** 2, *priors.precision_gamma)
-        total += truncated_normal_logpdf(float(phi[i]), *priors.phi_normal, -1.0, 1.0)
-    return total

@@ -149,6 +149,18 @@ class TestFit:
         assert 0.0 < report["alpha1"] < 1.0
         assert "simplex_spread" in report and "loglik" in report
 
+    def test_negative_holdout_exits_2(self, tmp_path, sv_params, garch_params):
+        for model, params, length in (("irsv", sv_params, 80),
+                                      ("irgarch", garch_params, 80)):
+            sim = tmp_path / f"{model}_sim"
+            assert run("simulate", "--model", model, "--params", params,
+                       "--length", length, "--seed", 33, "--out", sim) == 0
+            out = tmp_path / f"{model}_fit"
+            assert run("fit", "--model", model, "--data", sim / "rep000.csv",
+                       "--iters", 200, "--burnin", 100, "--thin", 1,
+                       "--holdout", -20, "--out", out) == 2
+            assert not list(out.glob("rep000.*"))
+
     def test_fit_reproducible_across_runs(self, tmp_path, sv_params):
         sim = tmp_path / "sim"
         run("simulate", "--model", "irsv", "--params", sv_params,

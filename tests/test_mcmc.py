@@ -14,73 +14,70 @@ from irvol.mcmc import (
     McmcChain,
     McmcConfig,
     adaptive_rwm_scalar,
+    asset_draws,
     correlation_block_step,
     effective_sample_size,
     fit_irmsv,
     fit_irsv,
-    log_prior_irmsv,
-    log_prior_irsv,
     summarize,
 )
-from irvol.mcmc.priors import beta_logpdf, normal_logpdf, variance_logprior
+from irvol.mcmc import fit as fit_module
+from irvol.mcmc.fit import _irmsv_walk, _irsv_walk
+from irvol.mcmc.priors import beta_logpdf, lkj_log_density, truncated_normal_logpdf
 
 
-class TestLogPriorIrsv:
-    def test_outside_support(self):
-        assert log_prior_irsv((0.0, 1.2, 0.5)) == -math.inf
-        assert log_prior_irsv((0.0, -1.0, 0.5)) == -math.inf
-        assert log_prior_irsv((0.0, 0.5, -0.1)) == -math.inf
+class TestPhiWalks:
+    def test_irsv_walks_w_under_beta(self):
+        walk = _irsv_walk(IrSvPriors())
+        assert (walk.start, walk.scale) == (0.75, 0.05)
+        assert walk.to_phi(walk.start) == 0.5
+        for w in (0.55, 0.75, 0.99):
+            assert walk.log_prior(w) == beta_logpdf(w, 20.0, 1.5)
+            assert walk.to_phi(w) == 2.0 * w - 1.0
 
-    def test_beta_prior_mode(self):
+    def test_irsv_support_keeps_phi_in_unit_interval(self):
+        walk = _irsv_walk(IrSvPriors())
+        # w <= 1/2 is phi <= 0; w >= 1 is phi >= 1
+        for w in (-0.1, 0.0, 0.25, 0.5, 1.0, 1.2):
+            assert walk.log_prior(w) == -math.inf
+        assert math.isfinite(walk.log_prior(0.5 + 1e-9))
+
+    def test_irsv_beta_prior_mode(self):
         # mode of Beta(20, 1.5) at (a-1)/(a+b-2) maps to phi = 0.9487179487
-        phi_star = 0.9487179487179487
-        base = log_prior_irsv((0.0, phi_star, 0.8))
+        walk = _irsv_walk(IrSvPriors())
+        w_star = 19.0 / 19.5
+        assert walk.to_phi(w_star) == pytest.approx(0.9487179487179487, abs=1e-15)
+        base = walk.log_prior(w_star)
         for eps in (-1e-3, 1e-3):
-            assert log_prior_irsv((0.0, phi_star + eps, 0.8)) < base
+            assert walk.log_prior(w_star + eps) < base
 
-    def test_decomposes_into_components(self):
-        priors = IrSvPriors()
-        mu, phi, sigma = -3.0, 0.4, 0.7
-        total = log_prior_irsv((mu, phi, sigma), priors)
-        expected = (
-            beta_logpdf((phi + 1) / 2, *priors.phi_beta) + math.log(0.5)
-            + variance_logprior(sigma**2, *priors.precision_gamma)
-            + normal_logpdf(mu, *priors.mu_normal)
-        )
-        assert total == pytest.approx(expected, rel=1e-12)
+    def test_irmsv_walks_phi_under_truncated_normal(self):
+        walk = _irmsv_walk(IrMsvPriors(phi_normal=(0.2, 0.3)))
+        assert (walk.start, walk.scale) == (0.5, 0.1)
+        for phi in (0.01, 0.5, 0.99):
+            assert walk.to_phi(phi) == phi
+            assert walk.log_prior(phi) == truncated_normal_logpdf(phi, 0.2, 0.3, -1.0, 1.0)
 
-    def test_accepts_params_object(self):
-        p = IrSvParams(-9.0, 0.2, 0.8)
-        assert log_prior_irsv(p) == pytest.approx(log_prior_irsv((-9.0, 0.2, 0.8)))
+    def test_irmsv_support_keeps_phi_in_unit_interval(self):
+        walk = _irmsv_walk(IrMsvPriors())
+        for phi in (-0.5, 0.0, 1.0, 1.3):
+            assert walk.log_prior(phi) == -math.inf
 
 
-class TestLogPriorIrmsv:
-    def _params(self, rho, eta=1.2):
-        corr = np.array([[1.0, rho], [rho, 1.0]])
-        return ([0.0, 0.0], [0.3, 0.3], [1.0, 1.0], corr)
+class TestLkjLogDensity:
+    def test_value_at_rho_half(self):
+        corr = np.array([[1.0, 0.5], [0.5, 1.0]])
+        assert lkj_log_density(corr, 1.2) == pytest.approx(0.2 * math.log(0.75), rel=1e-12)
 
     def test_uniform_lkj_contributes_nothing(self):
-        a = log_prior_irmsv(self._params(0.5), IrMsvPriors(lkj_eta=1.0))
-        b = log_prior_irmsv(self._params(0.0), IrMsvPriors(lkj_eta=1.0))
-        assert a == pytest.approx(b, rel=1e-12)
+        assert lkj_log_density(np.array([[1.0, 0.5], [0.5, 1.0]]), 1.0) == 0.0
 
-    def test_identity_matrix_zero_lkj_term(self):
+    def test_identity_matrix_contributes_nothing(self):
         for eta in (0.5, 1.2, 3.0):
-            a = log_prior_irmsv(self._params(0.0), IrMsvPriors(lkj_eta=eta))
-            b = log_prior_irmsv(self._params(0.0), IrMsvPriors(lkj_eta=1.0))
-            assert a == pytest.approx(b, rel=1e-12)
+            assert lkj_log_density(np.eye(3), eta) == 0.0
 
-    def test_lkj_term_value(self):
-        # eta = 1.2, rho = 0.5: 0.2 * log(0.75)
-        with_rho = log_prior_irmsv(self._params(0.5), IrMsvPriors(lkj_eta=1.2))
-        without = log_prior_irmsv(self._params(0.5), IrMsvPriors(lkj_eta=1.0))
-        assert with_rho - without == pytest.approx(-0.05753641449035619, abs=1e-5)
-
-    def test_support_violations(self):
-        bad_corr = np.array([[1.0, 1.0], [1.0, 1.0]])
-        assert log_prior_irmsv(([0.0, 0.0], [0.3, 0.3], [1.0, 1.0], bad_corr)) == -math.inf
-        assert log_prior_irmsv(([0.0, 0.0], [1.3, 0.3], [1.0, 1.0], np.eye(2))) == -math.inf
-        assert log_prior_irmsv(([0.0, 0.0], [0.3, 0.3], [-1.0, 1.0], np.eye(2))) == -math.inf
+    def test_not_positive_definite(self):
+        assert lkj_log_density(np.ones((2, 2)), 1.2) == -math.inf
 
 
 class TestAdaptiveRwmScalar:
@@ -266,9 +263,20 @@ class TestFitIrsv:
         assert chain.names[:3] == ("mu", "phi", "sigma_eta")
         assert "h_94" in chain.names  # final site always stored
         assert chain.parameter_names() == ["mu", "phi", "sigma_eta"]
+        assert set(chain.acceptance_rates) == {"h", "mu", "phi", "sigma_eta"}
         for rate in chain.acceptance_rates.values():
             assert 0.0 <= rate <= 1.0
         assert set(summary.names) == set(chain.names)
+
+    def test_no_correlation_step_for_one_asset(self, monkeypatch):
+        # the block step draws from the stream even with no free entries
+        def forbidden(*args, **kwargs):
+            raise AssertionError("correlation_block_step called for one asset")
+
+        monkeypatch.setattr(fit_module, "correlation_block_step", forbidden)
+        series = _scenario_series(0.5, seed=15, length=40)
+        chain, _ = fit_irsv(series, config=McmcConfig(100, 50, 1, rng_seed=5))
+        assert chain.n_draws == 50
 
     def test_latent_storage_optional(self):
         series = _scenario_series(0.5, seed=12, length=60)
@@ -341,7 +349,11 @@ class TestFitIrmsv:
         chain, _ = fit_irmsv(r, gaps, config=cfg)
         for name in ("mu_1", "phi_2", "sigma2_3", "rho_12", "rho_23", "h1_0", "h3_69"):
             assert name in chain.names
-        assert "correlation" in chain.acceptance_rates
+        assert set(chain.acceptance_rates) == {
+            "h", "correlation", "mu_1", "mu_2", "mu_3", "phi_1", "phi_2", "phi_3",
+            "sigma2_1", "sigma2_2", "sigma2_3"}
+        for rate in chain.acceptance_rates.values():
+            assert 0.0 <= rate <= 1.0
 
     def test_independence_recovery(self):
         # true R = I: posterior of each rho concentrates near zero
@@ -373,3 +385,42 @@ class TestFitIrmsv:
         fit_irsv(series, config=cfg)
         err = capsys.readouterr().err
         assert "iteration 50/100" in err and "iteration 100/100" in err
+
+
+class TestAssetDraws:
+    def test_irsv_layout(self):
+        series = _scenario_series(0.5, seed=16, length=47)
+        chain, _ = fit_irsv(series, config=McmcConfig(120, 20, 2, rng_seed=8,
+                                                      latent_stride=10))
+        (mu, phi, sigma2, last_h), = asset_draws(chain)
+        np.testing.assert_array_equal(mu, chain.column("mu"))
+        np.testing.assert_array_equal(phi, chain.column("phi"))
+        np.testing.assert_array_equal(sigma2, chain.column("sigma_eta") ** 2)
+        np.testing.assert_array_equal(last_h, chain.column("h_46"))
+
+    def test_irmsv_layout(self):
+        r, gaps = _msv_data(seed=29, length=45)
+        chain, _ = fit_irmsv(r, gaps, config=McmcConfig(120, 20, 2, rng_seed=9,
+                                                        latent_stride=20))
+        groups = asset_draws(chain)
+        assert len(groups) == 3
+        for i, (mu, phi, sigma2, last_h) in enumerate(groups, start=1):
+            np.testing.assert_array_equal(mu, chain.column(f"mu_{i}"))
+            np.testing.assert_array_equal(phi, chain.column(f"phi_{i}"))
+            np.testing.assert_array_equal(sigma2, chain.column(f"sigma2_{i}"))
+            np.testing.assert_array_equal(last_h, chain.column(f"h{i}_44"))
+
+    def test_latest_site_chosen_by_number(self):
+        draws = np.arange(12.0).reshape(2, 6)
+        chain = McmcChain(("mu", "phi", "sigma_eta", "h_10", "h_9", "h_2"), draws)
+        (_, _, _, last_h), = asset_draws(chain)
+        np.testing.assert_array_equal(last_h, chain.column("h_10"))
+
+    def test_missing_columns_rejected(self):
+        series = _scenario_series(0.5, seed=17, length=30)
+        chain, _ = fit_irsv(series, config=McmcConfig(60, 20, 1, rng_seed=10,
+                                                      store_latent=False))
+        with pytest.raises(ValueError, match="no latent columns"):
+            asset_draws(chain)
+        with pytest.raises(ValueError, match="neither"):
+            asset_draws(McmcChain(("x",), np.zeros((3, 1))))
