@@ -18,6 +18,13 @@ for realistic coefficient values.
 
 The unconditional return variance equals omega whenever the constraint
 holds, which the tests verify by long simulation.
+
+Given the returns, the recursion is linear in sigma2, so the path solves
+one unit lower-bidiagonal system (-beta1**g_j below the diagonal) in one
+LAPACK ``dgtsv`` call.  As |beta1**g| < 1, the solver never swaps rows: its
+elimination computes drive_j + beta1**g_j * sigma2_{j-1}, the loop's own
+arithmetic, and its back substitution only divides by one and subtracts
+zero products, so a finite path equals the step-by-step loop bit for bit.
 """
 
 from __future__ import annotations
@@ -79,24 +86,13 @@ def validate_gap_constraint(params: IrGarchParams, gaps) -> None:
         )
 
 
-def _step_arrays(params: IrGarchParams, g: np.ndarray):
-    """Per-step coefficients (alpha**g, beta**g, omega*(1 - a - b))."""
-    ag = params.alpha1**g
-    bg = params.beta1**g if params.beta1 > 0 else np.zeros_like(g)
-    wg = params.omega * (1.0 - ag - bg)
-    return ag, bg, wg
-
-
-def _initial_sigma2(params: IrGarchParams) -> float:
-    return params.omega * (1.0 - params.alpha1**FIRST_GAP - params.beta1**FIRST_GAP)
-
-
 def simulate_irgarch(params: IrGarchParams, gaps, length: int, seed=None):
     """Simulate (sigma2 path, returns) with standard-normal errors.
 
     ``gaps`` supplies g_j for j = 2..length in observed time units; the
     minimum-gap positivity constraint is enforced up front, which makes
-    every simulated sigma2 strictly positive.
+    every simulated sigma2 strictly positive.  As r_j feeds back into
+    sigma2_{j+1}, the simulation runs the recursion step by step.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
@@ -104,10 +100,11 @@ def simulate_irgarch(params: IrGarchParams, gaps, length: int, seed=None):
     validate_gap_constraint(params, g)
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(length)
-    ag, bg, wg = _step_arrays(params, g)
+    ag, bg = params.alpha1**g, params.beta1**g
+    wg = params.omega * (1.0 - ag - bg)
     sigma2 = np.empty(length)
     r = np.empty(length)
-    s2 = _initial_sigma2(params)
+    s2 = params.omega * (1.0 - params.alpha1**FIRST_GAP - params.beta1**FIRST_GAP)
     sigma2[0] = s2
     r[0] = math.sqrt(s2) * e[0]
     j = 1
@@ -127,30 +124,47 @@ def simulate_irarch(omega: float, alpha1: float, gaps, length: int, seed=None):
 def filter_sigma2(params: IrGarchParams, returns, gaps) -> np.ndarray:
     """Run the variance recursion on observed returns.
 
-    Uses the same initialization and per-step arithmetic as the simulator,
-    so filtering a simulated path at the true parameters reproduces its
-    sigma2 path bit for bit.
+    Uses the same initialization and per-step arithmetic as the simulator
+    (squares by libm ``pow``, as its ``**`` does, which can differ from r*r
+    in the last bit), so filtering a simulated path at the true parameters
+    reproduces its sigma2 path bit for bit.  Raises ValueError on overflow.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1 or r.size < 1:
         raise ValueError("returns must be a nonempty one-dimensional array")
     g = gap_values(gaps, count=r.size - 1)
     validate_gap_constraint(params, g)
-    ag, bg, wg = _step_arrays(params, g)
-    sigma2 = np.empty(r.size)
-    s2 = _initial_sigma2(params)
-    sigma2[0] = s2
-    j = 1
-    for a, b, w, rprev in zip(ag.tolist(), bg.tolist(), wg.tolist(), r[:-1].tolist()):
-        s2 = w + a * rprev**2 + b * s2
-        sigma2[j] = s2
-        j += 1
+    uniq, inv = np.unique(g, return_inverse=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = np.float_power(r, 2.0)
+        sigma2 = _variance_path(params.omega, params.alpha1, params.beta1, r2, uniq, inv)
+    if not np.all(np.isfinite(sigma2)):
+        raise ValueError("sigma2 is not finite: a return is not finite or overflows")
     return sigma2
+
+
+def _variance_path(omega: float, alpha1: float, beta1: float, r2: np.ndarray,
+                   uniq: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """sigma2_1..sigma2_n from squared returns ``r2`` by one bidiagonal solve.
+
+    Row j reads sigma2_j - beta1**g_j * sigma2_{j-1} = drive_j; row 1 is
+    sigma2_1 itself.  ``uniq``/``inv`` index the gaps as in ``_loglik_core``.
+    """
+    ag = (alpha1**uniq)[inv]
+    bg = (beta1**uniq)[inv]
+    rhs = np.empty(r2.size)
+    rhs[0] = omega * (1.0 - alpha1**FIRST_GAP - beta1**FIRST_GAP)
+    rhs[1:] = omega * (1.0 - ag - bg) + ag * r2[:-1]
+    if beta1 == 0.0 or r2.size == 1:  # a diagonal system is its own solution
+        return rhs
+    from scipy.linalg.lapack import dgtsv
+    n = r2.size  # the four fresh arguments may all be overwritten in place
+    return dgtsv(-bg, np.ones(n), np.zeros(n - 1), rhs, True, True, True, True)[3]
 
 
 def _loglik_core(omega: float, alpha1: float, beta1: float, r2: np.ndarray,
                  uniq: np.ndarray, inv: np.ndarray, g_star: float) -> float:
-    """Conditional Gaussian log-likelihood, -inf outside the feasible region.
+    """Conditional Gaussian log-likelihood; -inf if infeasible or not finite.
 
     ``uniq``/``inv`` are the unique gap values and inverse indices (gap
     sequences usually repeat few distinct values, which makes the power
@@ -158,22 +172,12 @@ def _loglik_core(omega: float, alpha1: float, beta1: float, r2: np.ndarray,
     """
     if not (omega > 0 and alpha1 > 0 and beta1 >= 0):
         return -math.inf
-    if not (np.isfinite(omega) and np.isfinite(alpha1) and np.isfinite(beta1)):
-        return -math.inf
     if not alpha1**g_star + beta1**g_star < 1.0:
         return -math.inf
-    ag = (alpha1**uniq)[inv]
-    bg = (beta1**uniq)[inv]
-    drive = omega * (1.0 - ag - bg) + ag * r2[:-1]
-    acc = omega * (1.0 - alpha1**FIRST_GAP - beta1**FIRST_GAP)
-    values = [acc]
-    append = values.append
-    for d, b in zip(drive.tolist(), bg.tolist()):
-        acc = d + b * acc
-        append(acc)
-    sigma2 = np.asarray(values)[1:]
-    return -0.5 * ((r2.size - 1) * LOG_2PI
-                   + float(np.sum(np.log(sigma2))) + float(np.sum(r2[1:] / sigma2)))
+    sigma2 = _variance_path(omega, alpha1, beta1, r2, uniq, inv)[1:]
+    loglik = -0.5 * ((r2.size - 1) * LOG_2PI
+                     + float(np.sum(np.log(sigma2))) + float(np.sum(r2[1:] / sigma2)))
+    return loglik if math.isfinite(loglik) else -math.inf
 
 
 def conditional_loglik(params: IrGarchParams, returns, gaps) -> float:
@@ -181,7 +185,8 @@ def conditional_loglik(params: IrGarchParams, returns, gaps) -> float:
 
     The first observation has no conditioning history and is excluded.
     Returns -inf (instead of raising) when the minimum-gap constraint is
-    violated, so optimizers can use the value directly as a penalty.
+    violated or the variance path or the sum is not finite (an overflowing
+    return), so optimizers can use the value directly as a penalty.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1 or r.size < 2:
@@ -240,14 +245,9 @@ def fit_ml(returns, gaps, start: IrGarchParams | None = None, n_starts: int = 5,
     if not feasible:
         raise RuntimeError("no feasible starting point for the given gap times")
 
-    if arch_only:
-        def neg_ll(x):
-            return -_loglik_core(math.exp(x[0]), math.exp(x[1]), 0.0,
-                                 r2, uniq, inv, g_star)
-    else:
-        def neg_ll(x):
-            return -_loglik_core(math.exp(x[0]), math.exp(x[1]), math.exp(x[2]),
-                                 r2, uniq, inv, g_star)
+    def neg_ll(x):
+        beta1 = 0.0 if arch_only else math.exp(x[2])
+        return -_loglik_core(math.exp(x[0]), math.exp(x[1]), beta1, r2, uniq, inv, g_star)
 
     best = None
     best_idx = -1

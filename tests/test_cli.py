@@ -137,6 +137,22 @@ class TestFit:
         assert run("fit", "--model", "irgarch", "--data", data,
                    "--out", tmp_path / "o") == 3
 
+    @pytest.mark.parametrize("model", ["irgarch", "irarch"])
+    def test_overflowing_return_exits_3(self, tmp_path, capsys, model):
+        # r**2 overflows, so the likelihood is -inf from every start
+        rng = np.random.default_rng(34)
+        returns = 0.1 * rng.standard_normal(100)
+        returns[50] = 1e200
+        rows = ["timestamp,gap,r_x"]
+        for j, r in enumerate(returns.tolist()):
+            rows.append(f"{2.0 * j!r},{'' if j == 0 else 2.0!r},{r!r}")
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("fit", "--model", model, "--data", data,
+                       "--out", tmp_path / "o") == 3
+        assert "optimization failed from every start" in capsys.readouterr().err
+
     def test_irgarch_fit_writes_report(self, tmp_path, garch_params):
         sim = tmp_path / "gsim"
         run("simulate", "--model", "irgarch", "--params", garch_params,

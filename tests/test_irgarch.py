@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from irvol.core import draw_positive_poisson
+from irvol.core import LOG_2PI, draw_positive_poisson
 from irvol.irgarch import (
     IrGarchParams,
     conditional_loglik,
@@ -24,6 +24,41 @@ def batch_se(values, n_batches=50):
     usable = (values.size // n_batches) * n_batches
     batches = values[:usable].reshape(n_batches, -1).mean(axis=1)
     return float(batches.std(ddof=1) / math.sqrt(n_batches))
+
+
+def reference_path(params, r2, gaps):
+    """The textbook step-by-step variance recursion, sigma2_1..sigma2_n.
+
+    The powered coefficients come from numpy, as in the program; each step
+    is the plain omega*(1 - a - b) + a*r2 + b*sigma2 in Python floats.
+    """
+    g = np.asarray(gaps, dtype=float)
+    ag, bg = params.alpha1**g, params.beta1**g
+    s2 = params.omega * (1.0 - params.alpha1 - params.beta1)
+    path = [s2]
+    for a, b, x in zip(ag.tolist(), bg.tolist(), np.asarray(r2)[:-1].tolist()):
+        s2 = params.omega * (1.0 - a - b) + a * x + b * s2
+        path.append(s2)
+    return np.array(path)
+
+
+def reference_loglik(params, r, gaps):
+    r2 = r * r
+    s2 = reference_path(params, r2, gaps)[1:]
+    return -0.5 * ((r.size - 1) * LOG_2PI
+                   + float(np.sum(np.log(s2))) + float(np.sum(r2[1:] / s2)))
+
+
+def feasible_params(rng, gaps, beta1=None):
+    """Random parameters with alpha1**g* + beta1**g* < 1 (beta1 drawn if None)."""
+    g_star = min(1.0, float(np.min(gaps)))
+    while True:
+        alpha = rng.uniform(1e-4, 1.0)
+        # beta1**g* is uniform below its bound 1 - alpha**g*
+        b = (rng.uniform() * (1.0 - alpha**g_star)) ** (1.0 / g_star) if beta1 is None else beta1
+        p = IrGarchParams(math.exp(rng.uniform(-10.0, 1.0)), alpha, b)
+        if persistence_at_min_gap(p, gaps) < 1.0:
+            return p
 
 
 class TestParams:
@@ -124,6 +159,61 @@ class TestFilter:
         s2_bump = filter_sigma2(p, bumped, gaps)
         jump = s2_bump[2] - s2_base[2]
         assert jump == pytest.approx(p.alpha1 ** gaps[1] * (0.3**2 - 0.1**2), rel=1e-12)
+
+
+class TestKernelAgainstReferenceLoop:
+    """The bidiagonal solve must equal the step-by-step loop bit for bit."""
+
+    @pytest.mark.parametrize("case", range(60))
+    def test_filter_and_loglik_match_bit_for_bit(self, case):
+        rng = np.random.default_rng(500 + case)
+        n = int(rng.choice([2, 3, int(rng.integers(4, 400))]))
+        gaps = draw_positive_poisson(n - 1, 3.0, seed=600 + case).astype(float)
+        if case % 2:
+            gaps *= rng.uniform(0.05, 1.0)  # some gaps below 1, so g* < 1
+        p = feasible_params(rng, gaps, (None, 0.0, math.exp(-40.0))[case % 3])
+        r = math.sqrt(p.omega) * rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+        # the filter squares by libm pow, as the simulator's ** does
+        np.testing.assert_array_equal(
+            filter_sigma2(p, r, gaps), reference_path(p, [x**2 for x in r.tolist()], gaps))
+        assert conditional_loglik(p, r, gaps) == reference_loglik(p, r, gaps)
+
+    def test_random_beta1_near_the_feasible_edge(self):
+        rng = np.random.default_rng(700)
+        gaps = draw_positive_poisson(299, 3.0, seed=701).astype(float)
+        r = 0.1 * rng.standard_normal(300)
+        for _ in range(100):
+            alpha = rng.uniform(1e-4, 0.5)
+            p = IrGarchParams(0.01, alpha, (1.0 - alpha) * rng.uniform(0.9, 0.999999))
+            np.testing.assert_array_equal(
+                filter_sigma2(p, r, gaps), reference_path(p, [x**2 for x in r.tolist()], gaps))
+            assert conditional_loglik(p, r, gaps) == reference_loglik(p, r, gaps)
+
+    def test_single_observation_filter(self):
+        p = IrGarchParams(0.02, 0.3, 0.5)
+        s2 = filter_sigma2(p, [0.4], [])
+        np.testing.assert_array_equal(s2, [p.omega * (1.0 - p.alpha1 - p.beta1)])
+
+
+class TestOverflow:
+    """An overflowing variance path: -inf from the likelihood, never nan,
+    and ValueError from the filter."""
+
+    @pytest.mark.parametrize("beta1", [0.0, 0.6])
+    @pytest.mark.parametrize("big", [1e160, 1e200])
+    def test_loglik_is_neg_inf(self, beta1, big):
+        r = 0.1 * np.random.default_rng(800).standard_normal(60)
+        r[30] = r[40] = big  # the second lands on an infinite variance
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert conditional_loglik(IrGarchParams(0.01, 0.3, beta1), r,
+                                      np.full(59, 2.0)) == -math.inf
+
+    @pytest.mark.parametrize("big", [1e160, 1e200])
+    def test_filter_raises_value_error(self, big):
+        r = 0.1 * np.random.default_rng(801).standard_normal(60)
+        r[30] = big
+        with pytest.raises(ValueError, match="overflow"):
+            filter_sigma2(IrGarchParams(0.01, 0.3, 0.6), r, np.full(59, 2.0))
 
 
 class TestConditionalLoglik:
