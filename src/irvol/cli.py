@@ -318,7 +318,7 @@ def cmd_fit(args) -> None:
                     "best_start": fit.best_start,
                     "iterations": fit.iterations,
                     "fun_evals": fit.fun_evals,
-                    "simplex_spread": fit.simplex_spread,
+                    "grad_norm": fit.grad_norm,
                     "n_obs_fit": int(r.size),
                     "data_file": str(data_path),
                 }, handle, indent=2, sort_keys=True)

@@ -25,6 +25,14 @@ LAPACK ``dgtsv`` call.  As |beta1**g| < 1, the solver never swaps rows: its
 elimination computes drive_j + beta1**g_j * sigma2_{j-1}, the loop's own
 arithmetic, and its back substitution only divides by one and subtracts
 zero products, so a finite path equals the step-by-step loop bit for bit.
+The elasticities theta * d sigma2 / d theta, theta = (omega, alpha1, beta1),
+solve the same system (Fiorentini, Calzolari & Panattoni 1996).
+
+``fit_ml`` runs L-BFGS-B with that exact gradient in x = (log omega,
+log(a/c), log(b/c)), a = alpha1**g*, b = beta1**g*, c = 1 - a - b, where
+every point is feasible.  The edges b = 0 (ARCH) and a = 0 lie at -inf, and
+the likelihood can peak on either, so a GARCH fit also searches both: the ARCH
+searches of an ARCH fit (x without b), and with log(a/c) held at -30.
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ from irvol.core import LOG_2PI, gap_values
 
 FIRST_GAP = 1.0  # the variance start uses a unit gap
 
-# (alpha1, beta1) combinations tried by the multi-start optimizer, in
-# addition to any user-supplied start; omega always starts at var(r).
+# (alpha1, beta1) starts of the multi-start optimizer (alpha1 alone for
+# ARCH); omega always starts at var(r).
 _START_GRID = (
     (0.05, 0.90),
     (0.10, 0.60),
@@ -48,6 +56,7 @@ _START_GRID = (
     (0.60, 0.20),
     (0.85, 0.05),
 )
+_BOX = 30.0  # search box half-width: keeps exp(x) finite and c above 4e-14
 
 
 @dataclass(frozen=True)
@@ -144,22 +153,45 @@ def filter_sigma2(params: IrGarchParams, returns, gaps) -> np.ndarray:
 
 
 def _variance_path(omega: float, alpha1: float, beta1: float, r2: np.ndarray,
-                   uniq: np.ndarray, inv: np.ndarray) -> np.ndarray:
+                   uniq: np.ndarray, inv: np.ndarray, derivs: bool = False):
     """sigma2_1..sigma2_n from squared returns ``r2`` by one bidiagonal solve.
 
     Row j reads sigma2_j - beta1**g_j * sigma2_{j-1} = drive_j; row 1 is
     sigma2_1 itself.  ``uniq``/``inv`` index the gaps as in ``_loglik_core``.
+    ``derivs`` adds the n-by-3 elasticities, whose right-hand sides are the
+    elasticities of row j's drive plus g_j b (sigma2_{j-1} - omega).
     """
-    ag = (alpha1**uniq)[inv]
-    bg = (beta1**uniq)[inv]
+    au, bu = alpha1**uniq, beta1**uniq
+    ag, bg = au[inv], bu[inv]
     rhs = np.empty(r2.size)
     rhs[0] = omega * (1.0 - alpha1**FIRST_GAP - beta1**FIRST_GAP)
     rhs[1:] = omega * (1.0 - ag - bg) + ag * r2[:-1]
-    if beta1 == 0.0 or r2.size == 1:  # a diagonal system is its own solution
+    sigma2 = _solve_bidiagonal(bg, rhs, beta1 == 0.0)
+    if not derivs:
+        return sigma2
+    elast = np.empty((r2.size, 3), order="F")
+    elast[0] = rhs[0], -alpha1 * omega, -beta1 * omega
+    elast[1:, 0] = omega * (1.0 - ag - bg)
+    elast[1:, 1] = (uniq * au)[inv] * (r2[:-1] - omega)
+    elast[1:, 2] = (uniq * bu)[inv] * (sigma2[:-1] - omega)
+    return sigma2, _solve_bidiagonal(bg, elast, beta1 == 0.0)
+
+
+def _solve_bidiagonal(bg: np.ndarray, rhs: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Solve x_1 = rhs_1, x_j - bg_{j-1} x_{j-1} = rhs_j per column of rhs, in place."""
+    n = rhs.shape[0]
+    if diagonal or n == 1:  # a diagonal system is its own solution
         return rhs
     from scipy.linalg.lapack import dgtsv
-    n = r2.size  # the four fresh arguments may all be overwritten in place
     return dgtsv(-bg, np.ones(n), np.zeros(n - 1), rhs, True, True, True, True)[3]
+
+
+def _loglik_of_path(r2: np.ndarray, sigma2: np.ndarray) -> float:
+    """Sum of the conditional log-densities for j >= 2; -inf if not finite."""
+    s2 = sigma2[1:]
+    loglik = -0.5 * ((r2.size - 1) * LOG_2PI
+                     + float(np.sum(np.log(s2))) + float(np.sum(r2[1:] / s2)))
+    return loglik if math.isfinite(loglik) else -math.inf
 
 
 def _loglik_core(omega: float, alpha1: float, beta1: float, r2: np.ndarray,
@@ -170,14 +202,10 @@ def _loglik_core(omega: float, alpha1: float, beta1: float, r2: np.ndarray,
     sequences usually repeat few distinct values, which makes the power
     computations cheap inside the optimizer's inner loop).
     """
-    if not (omega > 0 and alpha1 > 0 and beta1 >= 0):
+    if not (omega > 0 and alpha1 > 0 and beta1 >= 0
+            and alpha1**g_star + beta1**g_star < 1.0):
         return -math.inf
-    if not alpha1**g_star + beta1**g_star < 1.0:
-        return -math.inf
-    sigma2 = _variance_path(omega, alpha1, beta1, r2, uniq, inv)[1:]
-    loglik = -0.5 * ((r2.size - 1) * LOG_2PI
-                     + float(np.sum(np.log(sigma2))) + float(np.sum(r2[1:] / sigma2)))
-    return loglik if math.isfinite(loglik) else -math.inf
+    return _loglik_of_path(r2, _variance_path(omega, alpha1, beta1, r2, uniq, inv))
 
 
 def conditional_loglik(params: IrGarchParams, returns, gaps) -> float:
@@ -198,9 +226,43 @@ def conditional_loglik(params: IrGarchParams, returns, gaps) -> float:
                         uniq, inv, g_star)
 
 
+def _from_search(x: np.ndarray, g_star: float):
+    """(omega, alpha1, beta1) and the shares (a, b) at search coordinates x (an
+    ARCH x has no b); alpha1 = a**(1/g*) may underflow, so it stops at 5e-324."""
+    odds = np.exp(x[1:])
+    shares = odds / (1.0 + odds.sum())
+    coef = (shares ** (1.0 / g_star)).tolist() + [0.0]
+    return math.exp(x[0]), max(coef[0], math.ulp(0.0)), coef[1], shares
+
+
+def _neg_loglik(x: np.ndarray, r2: np.ndarray, uniq: np.ndarray, inv: np.ndarray,
+                g_star: float) -> tuple[float, np.ndarray]:
+    """Minus the log-likelihood and its gradient at search coordinates x;
+    the value is minus ``_loglik_core``'s bit for bit."""
+    omega, alpha1, beta1, shares = _from_search(x, g_star)
+    if not alpha1**g_star + beta1**g_star < 1.0:  # c rounds to 0 far outside the box
+        return math.inf, np.zeros(x.size)
+    sigma2, elast = _variance_path(omega, alpha1, beta1, r2, uniq, inv, derivs=True)
+    loglik = _loglik_of_path(r2, sigma2)
+    if loglik == -math.inf:
+        return math.inf, np.zeros(x.size)
+    s2 = sigma2[1:]
+    # d loglik / d log theta, then d log alpha1 / d(x_1, x_2) = (1 - a, -b) / g*, ...
+    score = 0.5 * (((r2[1:] / s2 - 1.0) / s2) @ elast[1:])
+    odds_score = score[1:x.size]
+    grad = np.concatenate(([score[0]], (odds_score - shares * odds_score.sum()) / g_star))
+    return -loglik, -grad
+
+
 @dataclass(frozen=True)
 class MlFit:
-    """Maximum-likelihood fit result with a convergence report."""
+    """Maximum-likelihood fit result with a convergence report.
+
+    ``best_start`` indexes the start grid, whichever search won from it;
+    ``n_starts`` counts the feasible GARCH starts (all five for ARCH);
+    ``grad_norm`` is the largest |entry| of the final projected gradient
+    (entries that push against the search box count as 0).
+    """
 
     params: IrGarchParams
     loglik: float
@@ -209,20 +271,13 @@ class MlFit:
     best_start: int
     iterations: int
     fun_evals: int
-    simplex_spread: float
+    grad_norm: float
 
 
-def fit_ml(returns, gaps, start: IrGarchParams | None = None, n_starts: int = 5,
-           arch_only: bool = False) -> MlFit:
-    """Maximize the conditional log-likelihood by multi-start simplex search.
-
-    The search runs over log-transformed coordinates (log omega, log
-    alpha1, log beta1) so positivity holds by construction; the joint
-    minimum-gap constraint is enforced through a -inf penalty in the
-    likelihood.  ``n_starts`` feasible starting points are tried (a
-    user-supplied ``start`` is tried first) and the best optimum wins.
-    With ``arch_only`` the search fixes beta1 = 0.
-    """
+def fit_ml(returns, gaps, arch_only: bool = False) -> MlFit:
+    """Maximize the conditional log-likelihood by multi-start L-BFGS-B in the
+    coordinates of the module docstring, from every feasible grid start; a
+    return whose square overflows raises RuntimeError."""
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1:
         raise ValueError("returns must be one-dimensional")
@@ -231,48 +286,43 @@ def fit_ml(returns, gaps, start: IrGarchParams | None = None, n_starts: int = 5,
     g = gap_values(gaps, count=r.size - 1)
     g_star = min(FIRST_GAP, float(np.min(g)))
     uniq, inv = np.unique(g, return_inverse=True)
-    r2 = r * r
+    with np.errstate(over="ignore"):
+        r2 = r * r
+    if not np.all(np.isfinite(r2)):
+        j = int(np.argmin(np.isfinite(r2)))
+        raise RuntimeError(f"the return in row {j + 1} ({float(r[j])!r}) overflows when squared")
 
-    starts: list[tuple[float, float, float]] = []
-    if start is not None:
-        starts.append((start.omega, start.alpha1, max(start.beta1, 1e-8)))
-    omega0 = max(float(np.var(r)), 1e-12)
-    for a0, b0 in _START_GRID:
-        starts.append((omega0, a0, b0))
-    feasible = [s for s in starts
-                if s[1] ** g_star + (0.0 if arch_only else s[2]) ** g_star < 1.0]
-    feasible = feasible[:max(n_starts, 1)]
-    if not feasible:
+    starts = [(k, np.array(start) ** g_star) for k, start in enumerate(_START_GRID)]
+    garch = [] if arch_only else [(k, ab) for k, ab in starts if ab.sum() < 1.0]
+    if not (arch_only or garch):
         raise RuntimeError("no feasible starting point for the given gap times")
-
-    def neg_ll(x):
-        beta1 = 0.0 if arch_only else math.exp(x[2])
-        return -_loglik_core(math.exp(x[0]), math.exp(x[1]), beta1, r2, uniq, inv, g_star)
-
+    log_omega0 = math.log(max(float(np.var(r)), 1e-12))
+    # interior, a -> 0 edge (the odds of a held at e^-_BOX) and ARCH searches
+    runs = ([(k, ab, _BOX) for k, ab in garch] + [(k, ab, -_BOX) for k, ab in garch]
+            + [(k, ab[:1], _BOX) for k, ab in starts])
     best = None
-    best_idx = -1
-    for idx, (w0, a0, b0) in enumerate(feasible):
-        x0 = np.log([w0, a0] if arch_only else [w0, a0, b0])
-        res = minimize(neg_ll, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 2000})
-        if best is None or res.fun < best.fun:
-            best = res
-            best_idx = idx
-    if best is None or not np.isfinite(best.fun):
+    for idx, shares, a_max in runs:
+        x0 = np.concatenate(([log_omega0], np.log(shares / (1.0 - shares.sum()))))
+        lo = np.array([log_omega0 - _BOX] + [-_BOX] * shares.size)
+        hi = np.array([log_omega0 + _BOX, a_max] + [_BOX] * (shares.size - 1))
+        res = minimize(_neg_loglik, x0, args=(r2, uniq, inv, g_star), jac=True,
+                       method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                       options={"gtol": 1e-5, "ftol": 1e-13})
+        if best is None or res.fun < best[0].fun:
+            best = res, idx, lo, hi
+    res, idx, lo, hi = best
+    if not np.isfinite(res.fun):
         raise RuntimeError("likelihood optimization failed from every start")
+    outward = ((res.x <= lo) & (res.jac > 0)) | ((res.x >= hi) & (res.jac < 0))
 
-    values = np.exp(best.x)
-    params = IrGarchParams(float(values[0]), float(values[1]),
-                           0.0 if arch_only else float(values[2]))
-    vertices = best.final_simplex[0]
-    spread = float(np.max(np.linalg.norm(vertices - vertices[0], axis=1)))
+    omega, alpha1, beta1, _ = _from_search(res.x, g_star)
     return MlFit(
-        params=params,
-        loglik=float(-best.fun),
-        converged=bool(best.success),
-        n_starts=len(feasible),
-        best_start=best_idx,
-        iterations=int(best.nit),
-        fun_evals=int(best.nfev),
-        simplex_spread=spread,
+        params=IrGarchParams(omega, alpha1, beta1),
+        loglik=float(-res.fun),
+        converged=bool(res.success),
+        n_starts=len(garch) if garch else len(starts),
+        best_start=idx,
+        iterations=int(res.nit),
+        fun_evals=int(res.nfev),
+        grad_norm=float(np.max(np.abs(np.where(outward, 0.0, res.jac)))),
     )

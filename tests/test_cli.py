@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,7 @@ class TestFit:
 
     @pytest.mark.parametrize("model", ["irgarch", "irarch"])
     def test_overflowing_return_exits_3(self, tmp_path, capsys, model):
-        # r**2 overflows, so the likelihood is -inf from every start
+        # r**2 overflows: rejected before any search starts, without warnings
         rng = np.random.default_rng(34)
         returns = 0.1 * rng.standard_normal(100)
         returns[50] = 1e200
@@ -148,10 +149,11 @@ class TestFit:
             rows.append(f"{2.0 * j!r},{'' if j == 0 else 2.0!r},{r!r}")
         data = tmp_path / "data.csv"
         data.write_text("\n".join(rows) + "\n")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run("fit", "--model", model, "--data", data,
                        "--out", tmp_path / "o") == 3
-        assert "optimization failed from every start" in capsys.readouterr().err
+        assert "the return in row 51 (1e+200) overflows when squared" in capsys.readouterr().err
 
     def test_irgarch_fit_writes_report(self, tmp_path, garch_params):
         sim = tmp_path / "gsim"
@@ -163,7 +165,7 @@ class TestFit:
         report = json.loads((out / "rep000.fit.json").read_text())
         assert report["converged"] is True
         assert 0.0 < report["alpha1"] < 1.0
-        assert "simplex_spread" in report and "loglik" in report
+        assert report["grad_norm"] < 1e-4 and "loglik" in report
 
     def test_negative_holdout_exits_2(self, tmp_path, sv_params, garch_params):
         for model, params, length in (("irsv", sv_params, 80),

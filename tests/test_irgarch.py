@@ -6,6 +6,8 @@ import pytest
 from irvol.core import LOG_2PI, draw_positive_poisson
 from irvol.irgarch import (
     IrGarchParams,
+    _from_search,
+    _neg_loglik,
     conditional_loglik,
     filter_sigma2,
     fit_ml,
@@ -216,6 +218,38 @@ class TestOverflow:
             filter_sigma2(IrGarchParams(0.01, 0.3, 0.6), r, np.full(59, 2.0))
 
 
+class TestSearchObjective:
+    """The optimizer's objective in (log omega, log-odds) coordinates."""
+
+    @staticmethod
+    def random_case(case):
+        rng = np.random.default_rng(900 + case)
+        n = int(rng.integers(2, 300))
+        gaps = draw_positive_poisson(n - 1, 3.0, seed=950 + case) * rng.uniform(0.05, 1.0)
+        x = np.concatenate(([rng.uniform(-8.0, 0.0)], rng.uniform(-5.0, 3.0, 1 + case % 2)))
+        if case % 4 == 1:
+            x[2] = -25.0  # beta1**g* is about e^-25 of 1 - alpha1**g* - beta1**g*
+        r = math.exp(0.5 * x[0]) * rng.uniform(0.3, 3.0) * rng.standard_normal(n)
+        g_star = min(1.0, float(np.min(gaps)))
+        return x, r, gaps, (r * r, *np.unique(gaps, return_inverse=True), g_star)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_value_is_conditional_loglik(self, case):
+        x, r, gaps, args = self.random_case(case)
+        omega, alpha1, beta1, _ = _from_search(x, args[-1])
+        value, _ = _neg_loglik(x, *args)
+        assert -value == conditional_loglik(IrGarchParams(omega, alpha1, beta1), r, gaps)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_gradient_matches_central_differences(self, case):
+        x, _, _, args = self.random_case(case)
+        _, grad = _neg_loglik(x, *args)
+        h = 1e-6
+        numeric = [(_neg_loglik(x + h * e, *args)[0] - _neg_loglik(x - h * e, *args)[0]) / (2 * h)
+                   for e in np.eye(x.size)]
+        assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
+
+
 class TestConditionalLoglik:
     def test_single_standard_normal_term(self):
         # choose omega so that sigma2 at the second step is exactly 1
@@ -297,8 +331,37 @@ class TestFitMl:
         assert fit.converged
         assert fit.n_starts == 5
         assert 0 <= fit.best_start < 5
-        assert fit.simplex_spread < 1e-6
+        assert fit.grad_norm < 1e-4
         assert np.isfinite(fit.loglik)
+
+    @staticmethod
+    def series(gap_seed, sim_seed):
+        gaps = draw_positive_poisson(299, 3.0, seed=gap_seed)
+        _, r = simulate_irgarch(IrGarchParams(0.01, 0.3, 0.6), gaps, 300, seed=sim_seed)
+        return r, gaps
+
+    def test_no_stall_at_the_persistence_edge(self):
+        # a simplex with a -inf penalty stopped at alpha1 + beta1 = 1 - 1e-16
+        # with loglik 262.334; the optimum is 262.535 at (0.0128, 0.9701)
+        fit = fit_ml(*self.series(10_006, 20_006))
+        assert fit.loglik >= 262.53
+        assert fit.params.alpha1 + fit.params.beta1 < 0.99
+
+    def test_optimum_on_the_alpha1_edge(self):
+        # every interior search ends at a local optimum, loglik 250.5576 at
+        # (0.285, 0.380); the maximum, 250.5858, is at alpha1 -> 0, beta1 0.642
+        rng = np.random.default_rng(np.random.SeedSequence(1318712413, spawn_key=(3,)))
+        gaps = draw_positive_poisson(299, 3.0, rng)
+        _, r = simulate_irgarch(IrGarchParams(0.01, 0.3, 0.6), gaps, 300, rng)
+        fit = fit_ml(r, gaps)
+        assert fit.loglik >= 250.5858
+        assert fit.params.alpha1 < 1e-10 and fit.params.beta1 == pytest.approx(0.642, abs=1e-3)
+
+    def test_garch_fit_nests_the_arch_fit(self):
+        r, gaps = self.series(10_174, 20_174)
+        garch, arch = fit_ml(r, gaps), fit_ml(r, gaps, arch_only=True)
+        assert garch.loglik >= arch.loglik
+        assert garch.converged and arch.converged
 
     def test_arch_only_mode(self):
         gaps = draw_positive_poisson(4999, 3.0, seed=26)
