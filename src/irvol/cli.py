@@ -298,30 +298,21 @@ def cmd_fit(args) -> None:
         for group in produced:
             outputs.extend(group)
     elif model in ML_MODELS:
+        series = []
         for data_path in args.data:
             timestamps, gaps, matrix, assets = read_returns(data_path)
             if matrix.shape[0] != 1:
                 raise ValueError(f"{model} expects exactly one return column")
             matrix, gaps = _drop_holdout(matrix, gaps, holdout)
-            r = matrix[0]
-            fit = fit_ml(r, gaps, arch_only=(model == "irarch"))
+            series.append((matrix[0], gaps))
+        fits = fit_ml(series, arch_only=(model == "irarch"))
+        for data_path, (r, _), fit in zip(args.data, series, fits):
+            report = {"model": model, **vars(fit.params), **vars(fit),
+                      "n_obs_fit": int(r.size), "data_file": str(data_path)}
+            del report["params"]
             path = Path(out_dir) / f"{Path(data_path).stem}.fit.json"
             with open(path, "w") as handle:
-                json.dump({
-                    "model": model,
-                    "omega": fit.params.omega,
-                    "alpha1": fit.params.alpha1,
-                    "beta1": fit.params.beta1,
-                    "loglik": fit.loglik,
-                    "converged": fit.converged,
-                    "n_starts": fit.n_starts,
-                    "best_start": fit.best_start,
-                    "iterations": fit.iterations,
-                    "fun_evals": fit.fun_evals,
-                    "grad_norm": fit.grad_norm,
-                    "n_obs_fit": int(r.size),
-                    "data_file": str(data_path),
-                }, handle, indent=2, sort_keys=True)
+                json.dump(report, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             outputs.append(str(path))
     else:

@@ -19,20 +19,23 @@ for realistic coefficient values.
 The unconditional return variance equals omega whenever the constraint
 holds, which the tests verify by long simulation.
 
-Given the returns, the recursion is linear in sigma2, so the path solves
-one unit lower-bidiagonal system (-beta1**g_j below the diagonal) in one
-LAPACK ``dgtsv`` call.  As |beta1**g| < 1, the solver never swaps rows: its
-elimination computes drive_j + beta1**g_j * sigma2_{j-1}, the loop's own
-arithmetic, and its back substitution only divides by one and subtracts
-zero products, so a finite path equals the step-by-step loop bit for bit.
-The elasticities theta * d sigma2 / d theta, theta = (omega, alpha1, beta1),
-solve the same system (Fiorentini, Calzolari & Panattoni 1996).
+Given the returns, the recursion is linear in sigma2: the path solves a
+unit lower-bidiagonal system (-beta1**g_j below the diagonal), and the
+paths of many parameter points stack into one LAPACK ``dgtsv`` call, with
+a zero below the diagonal between paths.  As |beta1**g| < 1, the solver
+never swaps rows: its elimination computes drive_j + beta1**g_j *
+sigma2_{j-1}, the loop's own arithmetic, and its back substitution only
+divides by one and subtracts zero products, so a finite path equals the
+step-by-step loop bit for bit, alone or stacked.  The elasticities
+theta * d sigma2 / d theta, theta = (omega, alpha1, beta1), solve the same
+system (Fiorentini, Calzolari & Panattoni 1996).
 
-``fit_ml`` runs L-BFGS-B with that exact gradient in x = (log omega,
-log(a/c), log(b/c)), a = alpha1**g*, b = beta1**g*, c = 1 - a - b, where
-every point is feasible.  The edges b = 0 (ARCH) and a = 0 lie at -inf, and
-the likelihood can peak on either, so a GARCH fit also searches both: the ARCH
-searches of an ARCH fit (x without b), and with log(a/c) held at -30.
+``fit_ml`` searches x = (log omega, log(a/c), log(b/c)), a = alpha1**g*,
+b = beta1**g*, c = 1 - a - b, where every point is feasible.  The edges
+b = 0 (ARCH) and a = 0 lie at -inf, and the likelihood can peak on either,
+so a GARCH fit also searches both: the ARCH searches of an ARCH fit, and
+with log(a/c) held at -30.  All searches of all series run in lockstep in
+``minimize``, each of its rounds one stacked kernel call.
 """
 
 from __future__ import annotations
@@ -41,22 +44,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg.lapack import dgtsv
 
 from irvol.core import LOG_2PI, gap_values
 
 FIRST_GAP = 1.0  # the variance start uses a unit gap
 
-# (alpha1, beta1) starts of the multi-start optimizer (alpha1 alone for
-# ARCH); omega always starts at var(r).
-_START_GRID = (
-    (0.05, 0.90),
-    (0.10, 0.60),
-    (0.30, 0.40),
-    (0.60, 0.20),
-    (0.85, 0.05),
-)
+# (alpha1, beta1) starts (alpha1 alone for ARCH); omega starts at var(r)
+_START_GRID = ((0.05, 0.90), (0.10, 0.60), (0.30, 0.40), (0.60, 0.20), (0.85, 0.05))
 _BOX = 30.0  # search box half-width: keeps exp(x) finite and c above 4e-14
+_GTOL, _DTOL = 1e-5, 1e-9  # projected gradient, decrease the model still promises
+_FTOL = 1e-13  # relative decrease below which a step is lost in rounding
+_MAX_EVALS, _MAX_STEP = 1000, 10.0  # per search; largest move of a coordinate per step
+_MAX_ROWS = 2**13  # stacked rows per kernel call
 
 
 @dataclass(frozen=True)
@@ -143,69 +143,63 @@ def filter_sigma2(params: IrGarchParams, returns, gaps) -> np.ndarray:
         raise ValueError("returns must be a nonempty one-dimensional array")
     g = gap_values(gaps, count=r.size - 1)
     validate_gap_constraint(params, g)
-    uniq, inv = np.unique(g, return_inverse=True)
+    theta = np.array([[params.omega], [params.alpha1], [params.beta1]])
     with np.errstate(over="ignore", invalid="ignore"):
-        r2 = np.float_power(r, 2.0)
-        sigma2 = _variance_path(params.omega, params.alpha1, params.beta1, r2, uniq, inv)
+        sigma2 = _variance_path(theta, np.float_power(r, 2.0)[None], g[None])[0]
     if not np.all(np.isfinite(sigma2)):
         raise ValueError("sigma2 is not finite: a return is not finite or overflows")
     return sigma2
 
 
-def _variance_path(omega: float, alpha1: float, beta1: float, r2: np.ndarray,
-                   uniq: np.ndarray, inv: np.ndarray, derivs: bool = False):
-    """sigma2_1..sigma2_n from squared returns ``r2`` by one bidiagonal solve.
-
-    Row j reads sigma2_j - beta1**g_j * sigma2_{j-1} = drive_j; row 1 is
-    sigma2_1 itself.  ``uniq``/``inv`` index the gaps as in ``_loglik_core``.
-    ``derivs`` adds the n-by-3 elasticities, whose right-hand sides are the
-    elasticities of row j's drive plus g_j b (sigma2_{j-1} - omega).
-    """
-    au, bu = alpha1**uniq, beta1**uniq
-    ag, bg = au[inv], bu[inv]
-    rhs = np.empty(r2.size)
-    rhs[0] = omega * (1.0 - alpha1**FIRST_GAP - beta1**FIRST_GAP)
-    rhs[1:] = omega * (1.0 - ag - bg) + ag * r2[:-1]
-    sigma2 = _solve_bidiagonal(bg, rhs, beta1 == 0.0)
+def _variance_path(theta: np.ndarray, r2: np.ndarray, g: np.ndarray, derivs: bool = False):
+    """sigma2_1..sigma2_n of A problems: problem p has theta[:, p] = (omega,
+    alpha1, beta1), squared returns r2[p] and gaps g[p].  Row j reads
+    sigma2_j - beta1**g_j * sigma2_{j-1} = drive_j; row 1 is sigma2_1 itself.
+    ``derivs`` adds the (3, A, n) elasticities, whose right-hand sides are
+    the elasticities of row j's drive plus g_j b (sigma2_{j-1} - omega)."""
+    omega, alpha1, beta1 = theta
+    ag, bg = alpha1[:, None] ** g, beta1[:, None] ** g
+    w = omega[:, None]
+    level = w * (1.0 - ag - bg)
+    rhs = np.empty(r2.shape)
+    rhs[:, 0] = omega * (1.0 - alpha1**FIRST_GAP - beta1**FIRST_GAP)
+    rhs[:, 1:] = level + ag * r2[:, :-1]
+    sigma2 = _solve_bidiagonal(bg, rhs)
     if not derivs:
         return sigma2
-    elast = np.empty((r2.size, 3), order="F")
-    elast[0] = rhs[0], -alpha1 * omega, -beta1 * omega
-    elast[1:, 0] = omega * (1.0 - ag - bg)
-    elast[1:, 1] = (uniq * au)[inv] * (r2[:-1] - omega)
-    elast[1:, 2] = (uniq * bu)[inv] * (sigma2[:-1] - omega)
-    return sigma2, _solve_bidiagonal(bg, elast, beta1 == 0.0)
+    elast = np.empty((3,) + r2.shape)
+    elast[:, :, 0] = rhs[:, 0], -alpha1 * omega, -beta1 * omega
+    elast[0, :, 1:] = level
+    elast[1, :, 1:] = g * ag * (r2[:, :-1] - w)
+    elast[2, :, 1:] = g * bg * (sigma2[:, :-1] - w)
+    return sigma2, _solve_bidiagonal(bg, elast)
 
 
-def _solve_bidiagonal(bg: np.ndarray, rhs: np.ndarray, diagonal: bool) -> np.ndarray:
-    """Solve x_1 = rhs_1, x_j - bg_{j-1} x_{j-1} = rhs_j per column of rhs, in place."""
-    n = rhs.shape[0]
-    if diagonal or n == 1:  # a diagonal system is its own solution
+def _solve_bidiagonal(bg: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve x_1 = rhs_1, x_j - bg_{j-1} x_{j-1} = rhs_j for each row of bg (A, n - 1)
+    and each leading index of rhs (..., A, n) in one dgtsv call, with zeros below the
+    diagonal between rows.  A row whose solution is not finite would leak 0 * inf =
+    nan into the others, so each row that comes out not finite is solved alone."""
+    count, n = rhs.shape[-2:]
+    if n == 1 or not bg.any():  # a diagonal system is its own solution
         return rhs
-    from scipy.linalg.lapack import dgtsv
-    return dgtsv(-bg, np.ones(n), np.zeros(n - 1), rhs, True, True, True, True)[3]
+    size, sub = count * n, np.concatenate((-bg, np.zeros((count, 1))), axis=1).ravel()
+    x = dgtsv(sub[:-1], np.ones(size), np.zeros(size - 1),
+              rhs.reshape(-1, size).T, True, True, True)[3].T.reshape(rhs.shape)
+    if count > 1:
+        for p in np.flatnonzero(~np.isfinite(x).reshape(-1, count, n).all(axis=(0, 2))):
+            x[..., p, :] = _solve_bidiagonal(bg[p:p + 1], rhs[..., p:p + 1, :])[..., 0, :]
+    return x
 
 
-def _loglik_of_path(r2: np.ndarray, sigma2: np.ndarray) -> float:
-    """Sum of the conditional log-densities for j >= 2; -inf if not finite."""
-    s2 = sigma2[1:]
-    loglik = -0.5 * ((r2.size - 1) * LOG_2PI
-                     + float(np.sum(np.log(s2))) + float(np.sum(r2[1:] / s2)))
-    return loglik if math.isfinite(loglik) else -math.inf
-
-
-def _loglik_core(omega: float, alpha1: float, beta1: float, r2: np.ndarray,
-                 uniq: np.ndarray, inv: np.ndarray, g_star: float) -> float:
-    """Conditional Gaussian log-likelihood; -inf if infeasible or not finite.
-
-    ``uniq``/``inv`` are the unique gap values and inverse indices (gap
-    sequences usually repeat few distinct values, which makes the power
-    computations cheap inside the optimizer's inner loop).
-    """
-    if not (omega > 0 and alpha1 > 0 and beta1 >= 0
-            and alpha1**g_star + beta1**g_star < 1.0):
-        return -math.inf
-    return _loglik_of_path(r2, _variance_path(omega, alpha1, beta1, r2, uniq, inv))
+def _loglik_of_path(theta, g_star, r2, sigma2) -> np.ndarray:
+    """Sums of the conditional log-densities for j >= 2 per problem; -inf
+    where alpha1**g* + beta1**g* >= 1 or the sum is not finite."""
+    s2 = sigma2[:, 1:]
+    loglik = -0.5 * ((r2.shape[1] - 1) * LOG_2PI
+                     + np.log(s2).sum(axis=1) + (r2[:, 1:] / s2).sum(axis=1))
+    feasible = theta[1] ** g_star + theta[2] ** g_star < 1.0
+    return np.where(feasible & np.isfinite(loglik), loglik, -np.inf)
 
 
 def conditional_loglik(params: IrGarchParams, returns, gaps) -> float:
@@ -220,109 +214,204 @@ def conditional_loglik(params: IrGarchParams, returns, gaps) -> float:
     if r.ndim != 1 or r.size < 2:
         raise ValueError("need at least two returns for the conditional likelihood")
     g = gap_values(gaps, count=r.size - 1)
-    g_star = min(FIRST_GAP, float(np.min(g)))
-    uniq, inv = np.unique(g, return_inverse=True)
-    return _loglik_core(params.omega, params.alpha1, params.beta1, r * r,
-                        uniq, inv, g_star)
+    g_star = np.array([min(FIRST_GAP, float(np.min(g)))])
+    theta, r2 = np.array([[params.omega], [params.alpha1], [params.beta1]]), (r * r)[None]
+    with np.errstate(all="ignore"):
+        sigma2 = _variance_path(theta, r2, g[None])
+        return float(_loglik_of_path(theta, g_star, r2, sigma2)[0])
 
 
-def _from_search(x: np.ndarray, g_star: float):
-    """(omega, alpha1, beta1) and the shares (a, b) at search coordinates x (an
-    ARCH x has no b); alpha1 = a**(1/g*) may underflow, so it stops at 5e-324."""
-    odds = np.exp(x[1:])
-    shares = odds / (1.0 + odds.sum())
-    coef = (shares ** (1.0 / g_star)).tolist() + [0.0]
-    return math.exp(x[0]), max(coef[0], math.ulp(0.0)), coef[1], shares
+def _from_search(x: np.ndarray, g_star: np.ndarray):
+    """theta (3, A) and the shares (a, b), (A, 2), at search points x (A, 3), x[:, 2] =
+    -inf for ARCH; alpha1 = a**(1/g*) may underflow, so it stops at 5e-324."""
+    odds = np.exp(x[:, 1:])
+    shares = odds / (1.0 + odds.sum(axis=1, keepdims=True))
+    coef = shares ** (1.0 / g_star[:, None])
+    return np.array([np.exp(x[:, 0]), np.maximum(coef[:, 0], math.ulp(0.0)), coef[:, 1]]), shares
 
 
-def _neg_loglik(x: np.ndarray, r2: np.ndarray, uniq: np.ndarray, inv: np.ndarray,
-                g_star: float) -> tuple[float, np.ndarray]:
-    """Minus the log-likelihood and its gradient at search coordinates x;
-    the value is minus ``_loglik_core``'s bit for bit."""
-    omega, alpha1, beta1, shares = _from_search(x, g_star)
-    if not alpha1**g_star + beta1**g_star < 1.0:  # c rounds to 0 far outside the box
-        return math.inf, np.zeros(x.size)
-    sigma2, elast = _variance_path(omega, alpha1, beta1, r2, uniq, inv, derivs=True)
-    loglik = _loglik_of_path(r2, sigma2)
-    if loglik == -math.inf:
-        return math.inf, np.zeros(x.size)
-    s2 = sigma2[1:]
-    # d loglik / d log theta, then d log alpha1 / d(x_1, x_2) = (1 - a, -b) / g*, ...
-    score = 0.5 * (((r2[1:] / s2 - 1.0) / s2) @ elast[1:])
-    odds_score = score[1:x.size]
-    grad = np.concatenate(([score[0]], (odds_score - shares * odds_score.sum()) / g_star))
-    return -loglik, -grad
+def _neg_loglik(x: np.ndarray, g_star: np.ndarray, r2: np.ndarray, g: np.ndarray,
+                fisher: bool = False):
+    """Minus the log-likelihoods (A,) and their gradients (A, 3) at search
+    points x (A, 3), and with ``fisher`` the Fisher information (A, 3, 3) in
+    x; inf and zeros where infeasible or not finite.  A value is minus
+    ``conditional_loglik``'s bit for bit."""
+    with np.errstate(all="ignore"):
+        theta, shares = _from_search(x, g_star)
+        sigma2, elast = _variance_path(theta, r2, g, derivs=True)
+        loglik = _loglik_of_path(theta, g_star, r2, sigma2)
+        s2 = sigma2[:, 1:]
+        # d loglik / d log theta, times d log theta / dx: (1 - a, -b) / g*, ...
+        score = 0.5 * (elast[:, :, 1:] * ((r2[:, 1:] / s2 - 1.0) / s2)).sum(axis=2)
+        jac = np.repeat(np.eye(3)[None], len(x), axis=0)
+        jac[:, 1:, 1:] = (np.eye(2) - shares[:, None, :]) / g_star[:, None, None]
+        grad = np.einsum("akl,ka->al", jac, score)
+        bad = ~(np.isfinite(loglik) & np.isfinite(grad).all(axis=1))
+        out = np.where(bad, np.inf, -loglik), np.where(bad[:, None], 0.0, -grad)
+        if not fisher:
+            return out
+        scaled = elast[:, :, 1:] / s2
+        info = 0.5 * np.einsum("kaj,laj->akl", scaled, scaled)
+        return out + (np.einsum("aki,akl,alj->aij", jac, info, jac),)
+
+
+def _descent(hess, pg):
+    """The direction -hess^-1 pg on the coordinates where pg is nonzero (-pg where that
+    is no finite descent direction), shortened to move no coordinate by more than
+    _MAX_STEP, and whether pg is at most _GTOL and the model promises at most _DTOL."""
+    move = pg != 0
+    h = np.where(move[:, :, None] & move[:, None, :], hess, np.eye(3))
+    h[~(np.linalg.det(h) > 0)] = np.eye(3)
+    d = -np.linalg.solve(h, pg[:, :, None])[:, :, 0]
+    d = np.where((np.isfinite(d).all(axis=1) & ((d * pg).sum(axis=1) < 0))[:, None], d, -pg)
+    stop = (np.abs(pg).max(axis=1) <= _GTOL) & (-0.5 * (d * pg).sum(axis=1) <= _DTOL)
+    return d * np.minimum(1.0, _MAX_STEP / np.abs(d).max(axis=1).clip(1e-300))[:, None], stop
+
+
+def minimize(fun, x0, lower, upper):
+    """Minimize independent box-bounded problems in 3 coordinates in lockstep.
+
+    ``fun(x, rows, fisher)`` gives the values (A,) and gradients (A, 3) of
+    problems ``rows`` at x (A, 3), and with ``fisher`` curvatures (A, 3, 3),
+    asked for once, at x0, to seed BFGS.  Coordinates with lower == upper
+    stay fixed.  Each round evaluates one trial point per unfinished
+    problem: a projected quasi-Newton step, shrunk until it meets Armijo's
+    condition.  A problem converges as ``_descent`` says, or when the next
+    trial could lower its value by at most ``_FTOL`` of its size (nothing
+    representable is left); it stops unconverged at a start value that is
+    not finite or after ``_MAX_EVALS`` evaluations.  Returns x, the
+    values, projected gradients, converged, steps and evaluations.
+    """
+    x, free = np.clip(x0, lower, upper), lower < upper
+
+    def projected(rows):  # g, with 0 where fixed or pushing out of the box
+        xr, gr = x[rows], g[rows]
+        out = ((xr <= lower[rows]) & (gr > 0)) | ((xr >= upper[rows]) & (gr < 0))
+        return np.where(free[rows] & ~out, gr, 0.0)
+
+    f, g, hess = fun(x, np.arange(len(x)), True)
+    done, converged, pg = ~np.isfinite(f), np.zeros(len(x), bool), projected(slice(None))
+    nit, nfev, t, d = np.zeros(len(x), int), np.ones(len(x), int), np.ones(len(x)), 0 * pg
+    d[~done], converged[~done] = _descent(hess[~done], pg[~done])
+    done |= converged
+    while not done.all():
+        live = np.flatnonzero(~done)
+        trial = np.clip(x[live] + t[live, None] * d[live], lower[live], upper[live])
+        f_t, g_t = fun(trial, live, False)
+        nfev[live] += 1
+        s = np.subtract(trial, x[live], out=np.zeros(trial.shape), where=free[live])
+        slope = (g[live] * s).sum(axis=1)
+        ok = (slope < 0) & (f_t <= f[live] + 1e-4 * slope)
+        acc, rej, sl, s, y = live[ok], live[~ok], slope[~ok], s[ok], g_t[ok] - g[live[ok]]
+        with np.errstate(all="ignore"):
+            # a rejected trial shrinks the step by quadratic interpolation in [0.1, 0.5]
+            shrink = np.fmax(np.fmin(-0.5 * sl / (f_t[~ok] - f[rej] - sl), 0.5), 0.1)
+            t[rej] *= shrink
+            stalled = rej[(sl < 0) & (-sl * shrink <= _FTOL * np.abs(f[rej]).clip(1.0))]
+            converged[stalled] = done[stalled] = True
+            uphill = rej[sl >= 0]  # clipping at the box undid the descent
+            t[uphill], d[uphill] = 1.0, -pg[uphill]
+            # an accepted one updates hess by BFGS, damped as Powell's to stay positive definite
+            hs = np.einsum("akl,al->ak", hess[acc], s)
+            sy, shs = (s * y).sum(axis=1), (s * hs).sum(axis=1)
+            damp = np.where(sy >= 0.2 * shs, 1.0, 0.8 * shs / (shs - sy))[:, None]
+            y = damp * y + (1.0 - damp) * hs
+            c = shs > 0
+            hess[acc[c]] += (y[c, :, None] * y[c, None] / (s * y).sum(axis=1)[c, None, None]
+                             - hs[c, :, None] * hs[c, None] / shs[c, None, None])
+        x[acc], f[acc], g[acc], nit[acc], t[acc] = trial[ok], f_t[ok], g_t[ok], nit[acc] + 1, 1.0
+        pg[acc] = projected(acc)
+        d[acc], stop = _descent(hess[acc], pg[acc])
+        converged[acc] = done[acc] = stop
+        done |= nfev >= _MAX_EVALS
+    return x, f, pg, converged, nit, nfev
 
 
 @dataclass(frozen=True)
 class MlFit:
-    """Maximum-likelihood fit result with a convergence report.
+    """Maximum-likelihood fit result with the winning search's report.
 
-    ``best_start`` indexes the start grid, whichever search won from it;
-    ``n_starts`` counts the feasible GARCH starts (all five for ARCH);
-    ``grad_norm`` is the largest |entry| of the final projected gradient
-    (entries that push against the search box count as 0).
+    ``best_start`` indexes the grid start it began from, whichever of the
+    three searches it is; ``iterations`` counts its accepted steps,
+    ``fun_evals`` its value-and-gradient evaluations, and ``grad_norm`` is
+    the largest |entry| of its final projected gradient (entries that push
+    against the search box count as 0).
     """
 
     params: IrGarchParams
     loglik: float
     converged: bool
-    n_starts: int
     best_start: int
     iterations: int
     fun_evals: int
     grad_norm: float
 
 
-def fit_ml(returns, gaps, arch_only: bool = False) -> MlFit:
-    """Maximize the conditional log-likelihood by multi-start L-BFGS-B in the
-    coordinates of the module docstring, from every feasible grid start; a
-    return whose square overflows raises RuntimeError."""
+def _prepare(returns, gaps):
+    """Validated (r2, g*, gaps, log var(r)) of one series."""
     r = np.asarray(returns, dtype=float)
-    if r.ndim != 1:
-        raise ValueError("returns must be one-dimensional")
-    if r.size < 50:
-        raise ValueError("need at least 50 observations to fit")
+    if r.ndim != 1 or r.size < 50:
+        raise ValueError("need one-dimensional returns, at least 50 of them, to fit")
     g = gap_values(gaps, count=r.size - 1)
-    g_star = min(FIRST_GAP, float(np.min(g)))
-    uniq, inv = np.unique(g, return_inverse=True)
     with np.errstate(over="ignore"):
         r2 = r * r
     if not np.all(np.isfinite(r2)):
         j = int(np.argmin(np.isfinite(r2)))
         raise RuntimeError(f"the return in row {j + 1} ({float(r[j])!r}) overflows when squared")
+    return r2, min(FIRST_GAP, float(np.min(g))), g, math.log(max(float(np.var(r)), 1e-12))
 
-    starts = [(k, np.array(start) ** g_star) for k, start in enumerate(_START_GRID)]
-    garch = [] if arch_only else [(k, ab) for k, ab in starts if ab.sum() < 1.0]
-    if not (arch_only or garch):
-        raise RuntimeError("no feasible starting point for the given gap times")
-    log_omega0 = math.log(max(float(np.var(r)), 1e-12))
-    # interior, a -> 0 edge (the odds of a held at e^-_BOX) and ARCH searches
-    runs = ([(k, ab, _BOX) for k, ab in garch] + [(k, ab, -_BOX) for k, ab in garch]
-            + [(k, ab[:1], _BOX) for k, ab in starts])
-    best = None
-    for idx, shares, a_max in runs:
-        x0 = np.concatenate(([log_omega0], np.log(shares / (1.0 - shares.sum()))))
-        lo = np.array([log_omega0 - _BOX] + [-_BOX] * shares.size)
-        hi = np.array([log_omega0 + _BOX, a_max] + [_BOX] * (shares.size - 1))
-        res = minimize(_neg_loglik, x0, args=(r2, uniq, inv, g_star), jac=True,
-                       method="L-BFGS-B", bounds=list(zip(lo, hi)),
-                       options={"gtol": 1e-5, "ftol": 1e-13})
-        if best is None or res.fun < best[0].fun:
-            best = res, idx, lo, hi
-    res, idx, lo, hi = best
-    if not np.isfinite(res.fun):
-        raise RuntimeError("likelihood optimization failed from every start")
-    outward = ((res.x <= lo) & (res.jac > 0)) | ((res.x >= hi) & (res.jac < 0))
 
-    omega, alpha1, beta1, _ = _from_search(res.x, g_star)
-    return MlFit(
-        params=IrGarchParams(omega, alpha1, beta1),
-        loglik=float(-res.fun),
-        converged=bool(res.success),
-        n_starts=len(garch) if garch else len(starts),
-        best_start=idx,
-        iterations=int(res.nit),
-        fun_evals=int(res.nfev),
-        grad_norm=float(np.max(np.abs(np.where(outward, 0.0, res.jac)))),
-    )
+def _searches(g_star: np.ndarray, log_omega0: np.ndarray, arch_only: bool):
+    """Start points and lower and upper bounds, each (searches, 3), of the
+    interior, the a = 0 edge (log(a/c) held at -_BOX) and the ARCH (log(b/c)
+    held at -inf) searches, or of the ARCH ones alone, in the order family,
+    series, grid start."""
+    grid = np.array(_START_GRID)
+    powered = grid ** g_star[:, None, None]
+    total = powered.sum(axis=2, keepdims=True)
+    # at a small g* a powered pair can leave the triangle: scale it to its unit-gap total
+    ab = np.where(total < 1.0, powered, powered * (grid.sum(axis=1)[:, None] / total))
+    first = 2 if arch_only else 0
+    pairs = np.array([ab, ab, powered * (1.0, 0.0)])[first:]
+    centre = np.zeros(pairs.shape[:3] + (3,))
+    centre[..., 0] = log_omega0[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        odds = np.log(pairs / (1.0 - pairs.sum(axis=3, keepdims=True)))
+    box = _BOX * np.array([[-1, -1, -1, 1, 1, 1], [-1, -1, -1, 1, -1, 1],
+                           [-1, -1, -np.inf, 1, 1, -np.inf]])[first:, None, None]
+    x0 = np.concatenate((centre[..., :1], odds), axis=3)
+    return (a.reshape(-1, 3) for a in (x0, centre + box[..., :3], centre + box[..., 3:]))
+
+
+def fit_ml(series, arch_only: bool = False) -> list[MlFit]:
+    """Maximize the conditional log-likelihood of each (returns, gaps) pair
+    of ``series`` from every grid start, in the coordinates of the module
+    docstring.  The searches of all series of one length run together in
+    ``minimize``, and each fit equals the series' fit alone.  A return
+    whose square overflows raises RuntimeError."""
+    prepared = [_prepare(r, gaps) for r, gaps in series]
+    fits: list[MlFit] = [None] * len(prepared)
+    starts = len(_START_GRID)
+    for n in sorted({p[0].size for p in prepared}):
+        members = [k for k, p in enumerate(prepared) if p[0].size == n]
+        r2, g_star, g, log_omega0 = map(np.array, zip(*(prepared[k] for k in members)))
+        x0, lower, upper = _searches(g_star, log_omega0, arch_only)
+        owner = np.arange(len(x0)) // starts % len(members)
+
+        def objective(x, rows, fisher):  # at most _MAX_ROWS stacked rows per kernel call
+            step, own = max(1, _MAX_ROWS // n), owner[rows]
+            parts = [_neg_loglik(x[i:i + step], *(a[own[i:i + step]] for a in (g_star, r2, g)),
+                                 fisher) for i in range(0, len(x), step)]
+            return tuple(np.concatenate(part) for part in zip(*parts))
+
+        x, f, pg, converged, nit, nfev = minimize(objective, x0, lower, upper)
+        theta = _from_search(x, g_star[owner])[0]
+        searches = np.arange(len(x)).reshape(-1, len(members), starts).transpose(1, 0, 2)
+        for k, mine in zip(members, searches.reshape(len(members), -1)):
+            best = mine[np.argmin(f[mine])]
+            if not np.isfinite(f[best]):
+                raise RuntimeError("likelihood optimization failed from every start")
+            fits[k] = MlFit(IrGarchParams(*theta[:, best].tolist()), float(-f[best]),
+                            bool(converged[best]), int(best % starts), int(nit[best]),
+                            int(nfev[best]), float(np.max(np.abs(pg[best]))))
+    return fits

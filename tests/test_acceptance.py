@@ -225,7 +225,7 @@ def test_criterion_5_irgarch_ml_recovery(alpha, beta):
         s_gaps, s_sim = np.random.SeedSequence(3000 + rep).spawn(2)
         gaps = draw_positive_poisson(4999, 3.0, seed=s_gaps)
         _, r = simulate_irgarch(truth, gaps, 5000, seed=s_sim)
-        fit = fit_ml(r, gaps)
+        fit = fit_ml([(r, gaps)])[0]
         estimates.append([fit.params.omega, fit.params.alpha1, fit.params.beta1])
     mean_est = np.array(estimates).mean(axis=0)
     errors = np.abs(mean_est - [truth.omega, truth.alpha1, truth.beta1])

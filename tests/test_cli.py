@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -126,17 +128,28 @@ class TestFit:
         assert (out / "rep000.chain.csv").exists()
 
     def test_numerical_failure_exits_3(self, tmp_path, garch_params):
-        # sub-unit gaps make every optimizer start infeasible
+        # at g* = 1e-20 alpha1 = a**(1/g*) underflows for every share a, so
+        # no search point is feasible
         data = tmp_path / "data.csv"
         rows = ["timestamp,gap,r_x", "0.0,,0.01"]
-        t = 0.0
         rng = np.random.default_rng(32)
         for _ in range(99):
-            t += 0.05
-            rows.append(f"{t!r},0.05,{float(rng.normal(scale=0.1))!r}")
+            rows.append(f"0.0,1e-20,{float(rng.normal(scale=0.1))!r}")
         data.write_text("\n".join(rows) + "\n")
         assert run("fit", "--model", "irgarch", "--data", data,
                    "--out", tmp_path / "o") == 3
+
+    def test_multi_file_ml_fit_equals_one_file_fits(self, tmp_path, garch_params):
+        sim = tmp_path / "gsim"
+        assert run("simulate", "--model", "irgarch", "--params", garch_params,
+                   "--length", 200, "--replicates", 2, "--seed", 9, "--out", sim) == 0
+        data = [sim / "rep000.csv", sim / "rep001.csv"]
+        assert run("fit", "--model", "irgarch", "--data", *data, "--out", tmp_path / "both") == 0
+        for k, path in enumerate(data):
+            assert run("fit", "--model", "irgarch", "--data", path,
+                       "--out", tmp_path / f"one{k}") == 0
+            name = f"rep00{k}.fit.json"
+            assert (tmp_path / "both" / name).read_bytes() == (tmp_path / f"one{k}" / name).read_bytes()
 
     @pytest.mark.parametrize("model", ["irgarch", "irarch"])
     def test_overflowing_return_exits_3(self, tmp_path, capsys, model):
@@ -376,3 +389,10 @@ class TestReplayAndConfig:
                    "--config", cfg, "--seed", 55, "--out", out3) == 0
         manifest = json.loads((out3 / "manifest.json").read_text())
         assert manifest["options"]["seed"] == 55
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, irvol.cli; assert 'scipy.optimize' not in sys.modules, 'loaded'"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
