@@ -28,7 +28,6 @@ from irvol.irgarch import (
 from irvol.irmsv import (
     CorrelationMatrix,
     IrMsvParams,
-    joint_observation_density,
     simulate_irmsv,
 )
 from irvol.irsv import (
@@ -36,10 +35,7 @@ from irvol.irsv import (
     IrSvParams,
     LatentPath,
     forecast,
-    observation_density,
     simulate_irsv,
-    state_transition_density,
-    stationary_state_density,
 )
 from irvol.refresh import RefreshResult, aggregate_one_second, refresh_sample, refresh_times
 

@@ -184,6 +184,24 @@ def log_returns(prices) -> np.ndarray:
     return np.diff(np.log(px))
 
 
+def squared_returns(returns) -> np.ndarray:
+    """Squares of a (T,) or (p, T) return array, checked finite.
+
+    A return whose square is not finite raises RuntimeError naming its
+    row: the 1-based observation index, the line of a returns file below
+    its header.
+    """
+    r = np.asarray(returns, dtype=float)
+    with np.errstate(over="ignore"):
+        r2 = r * r
+    bad = ~np.isfinite(np.atleast_2d(r2))
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0)))
+        value = float(np.atleast_2d(r)[np.argmax(bad[:, j]), j])
+        raise RuntimeError(f"the return in row {j + 1} ({value!r}) overflows when squared")
+    return r2
+
+
 def draw_positive_poisson(count: int, mean: float = 3.0, seed=None) -> np.ndarray:
     """Zero-truncated Poisson draws: Poisson(mean) conditioned on being > 0.
 

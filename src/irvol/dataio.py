@@ -146,8 +146,8 @@ def read_returns(path):
     """Read a synchronized-returns file.
 
     Returns (timestamps (n,), gaps (n-1,), returns (p, n), asset_ids).
-    The gap column must agree with the timestamp differences to within
-    ``TIME_TOL``.
+    Every number must be finite, and the gap column must agree with the
+    timestamp differences to within ``TIME_TOL``.
     """
     path = Path(path)
     with open(path, newline="") as handle:
@@ -165,6 +165,7 @@ def read_returns(path):
         ts_list: list[float] = []
         gap_list: list[float] = []
         rows: list[list[float]] = []
+        linenos: list[int] = []
         for lineno, rowentry in enumerate(reader, start=2):
             if not rowentry:
                 continue
@@ -177,11 +178,16 @@ def read_returns(path):
                 rows.append([float(cell) for cell in rowentry[2:]])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: unparseable number") from None
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     ts = np.array(ts_list)
     gaps = np.array(gap_list)
     r = np.array(rows).T
+    finite = np.isfinite(ts) & np.isfinite(r).all(axis=0)
+    finite[1:] &= np.isfinite(gaps)
+    if not finite.all():
+        raise ValueError(f"{path}: line {linenos[int(np.argmin(finite))]}: number is not finite")
     if gaps.size and float(np.max(np.abs(gaps - np.diff(ts)))) > TIME_TOL:
         raise ValueError(f"{path}: gap column disagrees with timestamps")
     return ts, gaps, r, assets

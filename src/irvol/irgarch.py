@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from irvol.core import LOG_2PI, gap_values
+from irvol.core import LOG_2PI, gap_values, squared_returns
 
 FIRST_GAP = 1.0  # the variance start uses a unit gap
 
@@ -353,11 +353,7 @@ def _prepare(returns, gaps):
     if r.ndim != 1 or r.size < 50:
         raise ValueError("need one-dimensional returns, at least 50 of them, to fit")
     g = gap_values(gaps, count=r.size - 1)
-    with np.errstate(over="ignore"):
-        r2 = r * r
-    if not np.all(np.isfinite(r2)):
-        j = int(np.argmin(np.isfinite(r2)))
-        raise RuntimeError(f"the return in row {j + 1} ({float(r[j])!r}) overflows when squared")
+    r2 = squared_returns(r)
     return r2, min(FIRST_GAP, float(np.min(g))), g, math.log(max(float(np.var(r)), 1e-12))
 
 

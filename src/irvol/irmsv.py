@@ -10,11 +10,12 @@ matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from irvol.core import LOG_2PI, gap_values
+from irvol.core import gap_values
 from irvol.irsv import IrSvParams, _recurse_states, _require_positive_phi
 
 MIN_EIGENVALUE = 1e-10
@@ -55,6 +56,15 @@ class CorrelationMatrix:
         return np.linalg.cholesky(self.values)
 
 
+@functools.cache
+def lower_index(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the below-diagonal entries, row-major (read-only)."""
+    rows, cols = np.tril_indices(p, -1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def corr_from_lower(p: int, lower) -> np.ndarray:
     """Assemble a full matrix from the p*(p-1)/2 below-diagonal entries.
 
@@ -62,7 +72,7 @@ def corr_from_lower(p: int, lower) -> np.ndarray:
     in one-based labels.  No validity check is performed here.
     """
     lower = np.asarray(lower, dtype=float)
-    rows, cols = np.tril_indices(p, -1)
+    rows, cols = lower_index(p)
     if lower.size != rows.size:
         raise ValueError(f"expected {rows.size} lower-triangle entries, got {lower.size}")
     out = np.eye(p)
@@ -74,13 +84,13 @@ def corr_from_lower(p: int, lower) -> np.ndarray:
 def lower_entries(matrix) -> np.ndarray:
     """Below-diagonal entries in the order used by ``corr_from_lower``."""
     arr = np.asarray(matrix, dtype=float)
-    rows, cols = np.tril_indices(arr.shape[0], -1)
+    rows, cols = lower_index(arr.shape[0])
     return arr[rows, cols].copy()
 
 
 def correlation_names(p: int) -> list[str]:
     """Column labels rho_12, rho_13, ... matching ``lower_entries`` order."""
-    rows, cols = np.tril_indices(p, -1)
+    rows, cols = lower_index(p)
     sep = "" if p <= 9 else "_"
     return [f"rho_{c + 1}{sep}{r + 1}" for r, c in zip(rows, cols)]
 
@@ -148,32 +158,3 @@ def simulate_irmsv(params: IrMsvParams, gaps, length: int, seed=None):
     eps = params.correlation.cholesky() @ z_obs
     r = np.exp(h / 2.0) * eps
     return h, r
-
-
-def joint_observation_density(r, h, correlation) -> float:
-    """Joint log-density of one return vector given its log-volatilities.
-
-    The covariance is H^(1/2) R H^(1/2) with H = diag(exp(h)); the 2*pi
-    normalizing constant is included.  ``correlation`` may be a
-    ``CorrelationMatrix`` or a plain symmetric array; a factorization
-    failure (singular or non-PD matrix) raises ``ValueError``.
-    """
-    r_arr = np.asarray(r, dtype=float)
-    h_arr = np.asarray(h, dtype=float)
-    if r_arr.ndim != 1 or r_arr.shape != h_arr.shape:
-        raise ValueError("r and h must be equal-length vectors")
-    if isinstance(correlation, CorrelationMatrix):
-        corr = correlation.values
-    else:
-        corr = np.asarray(correlation, dtype=float)
-    if corr.shape != (r_arr.size, r_arr.size):
-        raise ValueError("correlation matrix size must match the return vector")
-    try:
-        chol = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("correlation matrix is not positive definite") from exc
-    eps = r_arr * np.exp(-h_arr / 2.0)
-    y = np.linalg.solve(chol, eps)  # quadratic form via the triangular factor
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    quad = float(y @ y)
-    return -0.5 * (r_arr.size * LOG_2PI + logdet + float(np.sum(h_arr)) + quad)

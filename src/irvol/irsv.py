@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irvol.core import LOG_2PI, gap_values
+from irvol.core import gap_values
 
 Q_LOW = 0.025  # forecast quantiles are at Q_LOW and 1 - Q_LOW
 Z_975 = 1.959963984540054  # standard normal quantile at 1 - Q_LOW
@@ -132,42 +132,6 @@ def simulate_irsv(params: IrSvParams, gaps, length: int, seed=None):
     h = _recurse_states(params.mu, params.phi, params.sigma_eta, g, z)
     r = np.exp(h / 2.0) * e
     return LatentPath(h), r
-
-
-def stationary_state_density(h: float, params: IrSvParams) -> float:
-    """Log-density of the stationary law of log-volatility (first state)."""
-    var = params.stationary_var
-    return -0.5 * (LOG_2PI + math.log(var) + (h - params.mu) ** 2 / var)
-
-
-def state_transition_density(h_curr: float, h_prev: float, gap: float,
-                             params: IrSvParams) -> float:
-    """Log-density of the gap-time AR(1) transition h_prev -> h_curr.
-
-    Mean is mu + phi**gap * (h_prev - mu) and variance
-    sigma_eta**2 * (1 - phi**(2*gap)) / (1 - phi**2); ``gap`` must lie in
-    (0, 1].  For the first state (no predecessor) use
-    ``stationary_state_density``.
-    """
-    if not (0.0 < gap <= 1.0):
-        raise ValueError("gap must lie in (0, 1]")
-    _require_positive_phi(params.phi)
-    mean = params.mu + params.phi**gap * (h_prev - params.mu)
-    var = params.stationary_var * (1.0 - params.phi ** (2.0 * gap))
-    return -0.5 * (LOG_2PI + math.log(var) + (h_curr - mean) ** 2 / var)
-
-
-def observation_density(r, h):
-    """Log-density of a return given log-volatility: N(0, exp(h)) at r.
-
-    Accepts scalars or arrays (broadcasting elementwise).
-    """
-    r_arr = np.asarray(r, dtype=float)
-    h_arr = np.asarray(h, dtype=float)
-    out = -0.5 * (LOG_2PI + h_arr + np.square(r_arr) * np.exp(-h_arr))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)

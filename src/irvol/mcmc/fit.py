@@ -2,21 +2,27 @@
 
 The univariate model is the multivariate one with p = 1 and no
 correlation, so one engine samples both.  It takes a (p, T) return
-matrix over shared gaps, and one chain is a strictly sequential sweep
-per iteration:
+matrix over shared gaps.  The prior of each asset's latent path
+x = h - mu (stationary start plus gap-time AR(1) transitions) is
+Gaussian with a tridiagonal precision Q / sigma_eta**2; ``_prior``
+builds Q's diagonals from ``gap_law`` on the distinct gaps, once per
+accepted phi.  One chain is a strictly sequential sweep per iteration:
 
 * every latent log-volatility gets a single-site adaptive random-walk
   update against its full conditional (observation density at the site,
   which couples assets at a fixed time through the precision matrix,
-  plus the transitions into and out of it).  Sites of the same parity
-  have mutually independent full conditionals, so the even sites of an
-  asset are updated in one vectorized pass and then the odd sites in
-  another — the same per-site updates, just batched;
+  plus the prior, whose log-ratio comes from the site's row of Q).
+  Sites of the same parity have mutually independent full conditionals,
+  so the even sites of an asset are updated in one vectorized pass and
+  then the odd sites in another — the same per-site updates, just
+  batched;
 * per asset, mu, phi and sigma_eta**2 get adaptive random-walk updates
   in that order (sigma_eta**2 on the log scale, with the Jacobian folded
-  into the target).  How phi is walked is each model's choice: ``irsv``
-  walks (phi + 1)/2 under its Beta prior, ``irmsv`` walks phi under its
-  truncated normal prior;
+  into the target).  One pass over the path gives x'Qx, after which the
+  mu and sigma_eta**2 targets cost O(1) and each phi proposal one pass.
+  How phi is walked is each model's choice: ``irsv`` walks (phi + 1)/2
+  under its Beta prior, ``irmsv`` walks phi under its truncated normal
+  prior;
 * for p > 1, all free correlations are updated jointly by a block
   random walk.
 
@@ -36,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from irvol.core import LOG_2PI, GapSeries
+from irvol.core import GapSeries, squared_returns
 from irvol.irmsv import correlation_names, lower_entries
 from irvol.irsv import gap_law
 from irvol.mcmc.chain import McmcChain, McmcConfig, PosteriorSummary, summarize
@@ -54,41 +60,68 @@ H_INIT_FLOOR = 1e-12  # added to r^2 before the log when initializing h
 MU_INIT_OFFSET = 1.27  # rough mean of -log(chi2_1), recentres log r^2 on mu
 
 
-class _Parity(NamedTuple):
-    sites: np.ndarray
-    has_next: np.ndarray
-    next_sites: np.ndarray
+def _parities(length: int) -> list[tuple[slice, slice, slice]]:
+    """Per parity, the slices taking its sites t, t + 1 and t + 2 out of an
+    array: of a per-site array the first takes the sites; of the path
+    padded by one entry at each end, the left neighbours, the sites and the
+    right neighbours; of ``_Prior.e``, the first two the couplings to them."""
+    return [(slice(s, length, 2), slice(s + 1, length + 1, 2), slice(s + 2, length + 2, 2))
+            for s in (0, 1)]
 
 
-def _parities(length: int) -> list[_Parity]:
-    out = []
-    for start in (0, 1):
-        sites = np.arange(start, length, 2)
-        has_next = sites < length - 1
-        out.append(_Parity(sites, has_next, sites[has_next] + 1))
-    return out
+def _distinct(gaps: np.ndarray):
+    """Distinct gaps behind an infinite one, each site's index among them and
+    their counts: site 0, the stationary start, is the law after an
+    infinite gap, and site t >= 1 the law after g_t."""
+    unique, inverse, counts = np.unique(gaps, return_inverse=True, return_counts=True)
+    return np.append(np.inf, unique), np.append(0, inverse + 1), np.append(1, counts)
 
 
-def _transition_arrays(phi: float, gaps: np.ndarray):
-    """Per-site AR coefficients a and unit-variance factors c.
+def _law(phi: float, distinct) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-site AR coefficients a and inverse unit-variance factors 1/c, with
+    (a[t], c[t]) = ``gap_law(phi, g_t)`` taken once per distinct gap (so
+    a[0] = 0 and c[0] = 1 / (1 - phi^2)), and the sum of log c.  The
+    transition variance at sigma_eta**2 = s2 is s2 * c."""
+    unique, inverse, counts = distinct
+    a, c = gap_law(phi, unique)
+    return a.take(inverse), (1.0 / c).take(inverse), float(counts @ np.log(c))
 
-    Index 0 is the stationary start: a[0] = 0 and c[0] = 1 / (1 - phi^2);
-    for j >= 1, (a[j], c[j]) = ``gap_law(phi, g_j)``.  The transition
-    variance at sigma_eta**2 = s2 is s2 * c.
+
+class _Prior(NamedTuple):
+    """Tridiagonal prior precision of one asset's path at unit sigma_eta**2.
+
+    With x = h - mu and ``_law``'s a, 1/c and log_c, the stationary start
+    and the transitions add up to -(T log(2 pi s2) + log_c) / 2 -
+    x'Qx / (2 s2), where Q has the diagonal d[t] = 1/c[t] + a[t+1]^2 /
+    c[t+1] and couples sites t - 1 and t by e[t] = -a[t] / c[t] (zero at
+    t = 0 and t = T).  Shifting mu by m moves each residual
+    x[t] - a[t] x[t-1] by -m (1 - a[t]), so with w = (1 - a) / c and
+    b = sum((1 - a)^2 / c) the form at mu + m is x'Qx - 2 m resid'w + m^2 b.
     """
-    a, c = gap_law(phi, gaps)
-    return np.concatenate(([0.0], a)), np.concatenate(([1.0 / (1.0 - phi * phi)], c))
+
+    a: np.ndarray
+    inv_c: np.ndarray
+    log_c: float
+    d: np.ndarray
+    e: np.ndarray
+    w: np.ndarray
+    b: float
 
 
-def _transition_loglik(h: np.ndarray, mu: float, a: np.ndarray, v: np.ndarray) -> float:
-    """Stationary start plus all gap-time AR(1) transition log-densities."""
-    resid = h - mu
-    resid[1:] -= a[1:] * (h[:-1] - mu)
-    return -0.5 * float(np.sum(np.log(v) + resid * resid / v)) - 0.5 * v.size * LOG_2PI
+def _prior(a: np.ndarray, inv_c: np.ndarray, log_c: float) -> _Prior:
+    e = np.append(-a * inv_c, 0.0)
+    one_minus_a = 1.0 - a
+    w = one_minus_a * inv_c
+    return _Prior(a, inv_c, log_c, inv_c - np.append(a[1:] * e[1:-1], 0.0), e, w,
+                  float(one_minus_a @ w))
 
 
-def _safe_exp(x: np.ndarray) -> np.ndarray:
-    return np.exp(np.minimum(x, 700.0))
+def _quad(x: np.ndarray, a: np.ndarray, inv_c: np.ndarray) -> tuple[np.ndarray, float]:
+    """The residuals x[t] - a[t] x[t-1] (a[0] = 0 leaves x[0]) and x'Qx at
+    unit sigma_eta**2, the sum of their squares over c."""
+    resid = x.copy()
+    resid[1:] -= a[1:] * x[:-1]
+    return resid, float(resid @ (resid * inv_c))
 
 
 def _latent_sites(length: int, stride: int) -> np.ndarray:
@@ -99,40 +132,38 @@ def _latent_sites(length: int, stride: int) -> np.ndarray:
     return sites
 
 
-def _progress(it: int, total: int, every: int) -> None:
-    if every and it % every == 0:
-        print(f"iteration {it}/{total}", file=sys.stderr)
+def _log_ratios(hp_i, parity, prop, eps_prop, eps_cur, mu_i, prior, inv_s2, qii, cross):
+    """Log full-conditional ratios of moving one parity's sites of a path to ``prop``.
 
-
-def _msv_sweep(h_i, eps_i, r_i, parity, mu_i, a, v, qii, cross, scales, rng) -> int:
-    """Single-site updates of one parity class for one asset's latent path."""
-    sites = parity.sites
-    if sites.size == 0:
-        return 0
-    cur = h_i[sites]
-    eps_cur = eps_i[sites]
-    prop = cur + scales.values[sites] * rng.standard_normal(sites.size)
-    logu = np.log(rng.random(sites.size))
-    eps_prop = r_i[sites] * _safe_exp(-prop / 2.0)
-    delta = -0.5 * (prop - cur) - 0.5 * qii * (eps_prop**2 - eps_cur**2)
+    ``hp_i`` is the path between one pad entry at each end (e is zero
+    there).  With x = h - mu and s = prop - cur, the prior term is
+    -s (1/2 + (d (x_p + x_c) / 2 + e[t] x[t-1] + e[t+1] x[t+1]) / s2) and
+    the observation term -(eps_p - eps_c) (qii (eps_p + eps_c) / 2 + cross).
+    """
+    left, at, right = parity
+    cur = hp_i[at]
+    lin = (prior.d[left] * (0.5 * (prop + cur) - mu_i) + prior.e[left] * (hp_i[left] - mu_i)
+           + prior.e[at] * (hp_i[right] - mu_i))
+    obs = 0.5 * qii * (eps_prop + eps_cur)
     if cross is not None:
-        delta -= (eps_prop - eps_cur) * cross[sites]
-    # transition into the site; a[0] = 0 neutralizes the wrapped h[-1] read
-    mean_in = mu_i + a[sites] * (h_i[sites - 1] - mu_i)
-    delta -= ((prop - mean_in) ** 2 - (cur - mean_in) ** 2) / (2.0 * v[sites])
-    # transition out of every non-terminal site
-    ns = parity.next_sites
-    if ns.size:
-        h_next = h_i[ns]
-        mean_new = mu_i + a[ns] * (prop[parity.has_next] - mu_i)
-        mean_old = mu_i + a[ns] * (cur[parity.has_next] - mu_i)
-        delta[parity.has_next] -= ((h_next - mean_new) ** 2 - (h_next - mean_old) ** 2) / (2.0 * v[ns])
-    accept = logu < delta
-    idx = sites[accept]
-    h_i[idx] = prop[accept]
-    eps_i[idx] = eps_prop[accept]
-    scales.record(sites, accept)
-    return int(accept.sum())
+        obs += cross[left]
+    return (cur - prop) * (0.5 + lin * inv_s2) - (eps_prop - eps_cur) * obs
+
+
+def _msv_sweep(hp_i, eps_i, r_i, parity, mu_i, prior, inv_s2, qii, cross, scales, rng) -> int:
+    """Single-site updates of one parity class for one asset's latent path."""
+    left, at, _ = parity
+    cur = hp_i[at]  # a view: accepted proposals are written through it
+    prop = cur + scales.values[left] * rng.standard_normal(cur.size)
+    logu = np.log(rng.random(cur.size))
+    eps_cur = eps_i[left]
+    eps_prop = r_i[left] * np.exp(np.minimum(-prop / 2.0, 700.0))
+    accept = logu < _log_ratios(hp_i, parity, prop, eps_prop, eps_cur, mu_i, prior, inv_s2,
+                                qii, cross)
+    np.copyto(cur, prop, where=accept)
+    np.copyto(eps_cur, eps_prop, where=accept)
+    scales.record(left, accept)
+    return int(np.count_nonzero(accept))
 
 
 class _PhiWalk(NamedTuple):
@@ -186,114 +217,132 @@ class _Run(NamedTuple):
     rates: dict
 
 
+def _scalar_steps(h_i, state, distinct, walk: _PhiWalk, priors, scales, rng):
+    """Random-walk updates of mu, then phi's walk coordinate x, then log sigma_eta**2.
+
+    ``state`` is (mu, x, sigma2, prior) of one asset; returns its update
+    and the three accept flags.  One pass over the path gives x'Qx and
+    resid'w at the current mu; after it the mu and sigma_eta**2 targets
+    are O(1), and each phi proposal costs one pass with its own law.
+    Targets drop terms that cancel in the step's log-ratio.
+    """
+    mu, x, s2, prior = state
+    half_inv_s2 = 0.5 / s2
+    resid, q = _quad(h_i - mu, prior.a, prior.inv_c)
+    rw = float(resid @ prior.w)
+    pm_mean, pm_var = priors.mu_normal
+
+    def mu_target(m):
+        dm = m - mu
+        return normal_logpdf(m, pm_mean, pm_var) - (q - 2.0 * dm * rw + dm * dm * prior.b) * half_inv_s2
+
+    mu_step = adaptive_rwm_scalar(mu, mu_target, scales[0], rng)
+    if mu_step.accepted:
+        dm = mu_step.value - mu
+        q -= 2.0 * dm * rw - dm * dm * prior.b
+        mu = mu_step.value
+
+    dev = h_i - mu
+    proposed = []  # the last proposal's law and x'Qx
+
+    def x_target(xv):
+        log_prior = walk.log_prior(xv)
+        if log_prior == -math.inf:
+            return log_prior
+        a, inv_c, log_c = _law(walk.to_phi(xv), distinct)
+        proposed[:] = (a, inv_c, log_c), _quad(dev, a, inv_c)[1]
+        return log_prior - 0.5 * log_c - proposed[1] * half_inv_s2
+
+    current = walk.log_prior(x) - 0.5 * prior.log_c - q * half_inv_s2
+    x_step = adaptive_rwm_scalar(x, x_target, scales[1], rng, current)
+    if x_step.accepted:
+        x = x_step.value
+        prior, q = _prior(*proposed[0]), proposed[1]
+
+    gshape, grate = priors.precision_gamma
+
+    def u_target(uv):
+        if uv > 700.0:
+            return -math.inf
+        s2v = math.exp(uv)
+        log_prior = variance_logprior(s2v, gshape, grate)
+        if log_prior == -math.inf:
+            return log_prior
+        return log_prior + uv - 0.5 * (h_i.size * uv + q / s2v)
+
+    u_step = adaptive_rwm_scalar(math.log(s2), u_target, scales[2], rng)
+    if u_step.accepted:
+        s2 = math.exp(u_step.value)
+    return (mu, x, s2, prior), [mu_step.accepted, x_step.accepted, u_step.accepted]
+
+
 def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
             config: McmcConfig) -> _Run:
     """Run one chain on a (p, T) return matrix over shared scaled gaps."""
     p, length = r.shape
     rng = np.random.default_rng(config.rng_seed)
 
-    r2 = r * r
-    mu = np.empty(p)
+    r2 = squared_returns(r)
+    states = []
+    distinct = _distinct(gaps)
     for i in range(p):
         positive = r2[i][r2[i] > 0]
         if positive.size == 0:
             warnings.warn(f"asset {i + 1}: all returns are zero; the volatility level "
                           "is unidentified")
-            mu[i] = 0.0
+            mu_i = 0.0
         else:
-            mu[i] = float(np.mean(np.log(positive))) + MU_INIT_OFFSET
-    x = np.full(p, walk.start)
-    phi = np.full(p, walk.to_phi(walk.start))
-    sigma2 = np.ones(p)
-    h = np.log(r2 + H_INIT_FLOOR)
+            mu_i = float(np.mean(np.log(positive))) + MU_INIT_OFFSET
+        states.append((mu_i, walk.start, 1.0, _prior(*_law(walk.to_phi(walk.start), distinct))))
+    hp = np.zeros((p, length + 2))  # each path between two pads that e weighs by zero
+    h = hp[:, 1:-1]
+    h[:] = np.log(r2 + H_INIT_FLOOR)
     eps = r * np.exp(-h / 2.0)
     corr = np.eye(p)
     prec = np.eye(p)
 
-    trans = [_transition_arrays(float(phi[i]), gaps) for i in range(p)]
-    v = [sigma2[i] * trans[i][1] for i in range(p)]  # transition variances
     parities = _parities(length)
     target, interval = config.target_accept_scalar, config.adapt_interval
     h_scales = [VectorAdaptiveScale(length, 1.0, target, interval) for _ in range(p)]
-    mu_scales = [AdaptiveScale(0.2, target, interval) for _ in range(p)]
-    x_scales = [AdaptiveScale(walk.scale, target, interval) for _ in range(p)]
-    u_scales = [AdaptiveScale(0.3, target, interval) for _ in range(p)]
+    scalar_scales = [[AdaptiveScale(value, target, interval) for value in (0.2, walk.scale, 0.3)]
+                     for _ in range(p)]
     corr_scale = AdaptiveScale(0.05, config.target_accept_block, interval)
-    all_scales = h_scales + mu_scales + x_scales + u_scales + [corr_scale]
+    all_scales = h_scales + sum(scalar_scales, []) + [corr_scale]
 
     sites = _latent_sites(length, config.latent_stride)
     n_cols = 3 * p + p * (p - 1) // 2 + (p * sites.size if config.store_latent else 0)
     draws = np.empty((config.n_draws, n_cols))
     row = 0
     h_accepts = corr_accepts = tracked_iters = 0
-    mu_accepts, phi_accepts, s2_accepts = [0] * p, [0] * p, [0] * p
-
-    gshape, grate = priors.precision_gamma
-    pm_mean, pm_var = priors.mu_normal
-
-    if config.burn_in == 0:
-        for scale in all_scales:
-            scale.freeze()
+    scalar_accepts = np.zeros((3, p), dtype=int)  # mu, phi, sigma2
 
     for it in range(1, config.n_iterations + 1):
         tracking = it > config.burn_in
+        if it == config.burn_in + 1:
+            for scale in all_scales:
+                scale.freeze()
         h_acc = 0
         for i in range(p):
             # a lone asset has no cross term: it would subtract exact zeros
             cross = prec[i] @ eps - prec[i, i] * eps[i] if p > 1 else None
+            mu_i, _, s2_i, prior = states[i]
             for parity in parities:
-                h_acc += _msv_sweep(h[i], eps[i], r[i], parity, float(mu[i]), trans[i][0],
-                                    v[i], float(prec[i, i]), cross, h_scales[i], rng)
+                h_acc += _msv_sweep(hp[i], eps[i], r[i], parity, mu_i, prior, 1.0 / s2_i,
+                                    float(prec[i, i]), cross, h_scales[i], rng)
             h_scales[i].sweep_done()
 
         for i in range(p):
-            a_i, c_i = trans[i]
-            h_i = h[i]
-            s2_i = float(sigma2[i])
-
-            def mu_target(m, a_i=a_i, v_i=v[i], h_i=h_i):
-                return normal_logpdf(m, pm_mean, pm_var) + _transition_loglik(h_i, m, a_i, v_i)
-
-            step = adaptive_rwm_scalar(float(mu[i]), mu_target, mu_scales[i], rng)
-            mu[i] = step.value
-            mu_accepts[i] += step.accepted if tracking else 0
-
-            def x_target(xv, mu_i=float(mu[i]), h_i=h_i, s2_i=s2_i):
-                log_prior = walk.log_prior(xv)
-                if log_prior == -math.inf:
-                    return log_prior
-                a2, c2 = _transition_arrays(walk.to_phi(xv), gaps)
-                return log_prior + _transition_loglik(h_i, mu_i, a2, s2_i * c2)
-
-            step = adaptive_rwm_scalar(float(x[i]), x_target, x_scales[i], rng)
-            if step.accepted:
-                x[i] = step.value
-                phi[i] = walk.to_phi(step.value)
-                trans[i] = _transition_arrays(float(phi[i]), gaps)
-                a_i, c_i = trans[i]
-                v[i] = s2_i * c_i
-            phi_accepts[i] += step.accepted if tracking else 0
-
-            def u_target(uv, mu_i=float(mu[i]), a_i=a_i, c_i=c_i, h_i=h_i):
-                if uv > 700.0:
-                    return -math.inf
-                s2v = math.exp(uv)
-                return (variance_logprior(s2v, gshape, grate) + uv
-                        + _transition_loglik(h_i, mu_i, a_i, s2v * c_i))
-
-            step = adaptive_rwm_scalar(math.log(s2_i), u_target, u_scales[i], rng)
-            if step.accepted:
-                sigma2[i] = math.exp(step.value)
-                v[i] = sigma2[i] * c_i
-            s2_accepts[i] += step.accepted if tracking else 0
+            states[i], accepted = _scalar_steps(h[i], states[i], distinct, walk, priors,
+                                                scalar_scales[i], rng)
+            if tracking:
+                scalar_accepts[:, i] += accepted
 
         # with one asset there is no free correlation, and the step would
         # still draw from the stream
         if p > 1:
             scatter = eps @ eps.T
 
-            def corr_target(candidate):
-                chol = np.linalg.cholesky(candidate)
+            def corr_target(candidate, chol):
                 logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
                 quad = float(np.sum(np.linalg.inv(candidate) * scatter))
                 return (priors.lkj_eta - 1.0) * logdet - 0.5 * (length * logdet + quad)
@@ -308,24 +357,19 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
             tracked_iters += 1
             h_accepts += h_acc
             if (it - config.burn_in) % config.thin == 0:
-                parts = [mu, phi, sigma2, lower_entries(corr)]
+                mu, x, sigma2, _ = zip(*states)
+                parts = [mu, [walk.to_phi(v) for v in x], sigma2, lower_entries(corr)]
                 if config.store_latent:
                     parts.append(h[:, sites].ravel())
                 draws[row] = np.concatenate(parts)
                 row += 1
-        elif it == config.burn_in:
-            for scale in all_scales:
-                scale.freeze()
-        _progress(it, config.n_iterations, config.progress_every)
+        if config.progress_every and it % config.progress_every == 0:
+            print(f"iteration {it}/{config.n_iterations}", file=sys.stderr)
 
     denom = max(tracked_iters, 1)
-    rates = {
-        "h": h_accepts / (denom * p * length),
-        "correlation": corr_accepts / denom,
-        "mu": [count / denom for count in mu_accepts],
-        "phi": [count / denom for count in phi_accepts],
-        "sigma2": [count / denom for count in s2_accepts],
-    }
+    rates = {"h": h_accepts / (denom * p * length), "correlation": corr_accepts / denom}
+    for name, counts in zip(("mu", "phi", "sigma2"), scalar_accepts):
+        rates[name] = [int(count) / denom for count in counts]
     return _Run(draws, sites, rates)
 
 

@@ -7,7 +7,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from irvol.irmsv import corr_from_lower
+from irvol.irmsv import corr_from_lower, lower_index
 
 
 class AdaptiveScale:
@@ -101,7 +101,6 @@ class VectorAdaptiveScale:
 class ScalarStep(NamedTuple):
     value: float
     accepted: bool
-    log_target: float
 
 
 def adaptive_rwm_scalar(current: float, log_target: Callable[[float], float],
@@ -125,21 +124,17 @@ def adaptive_rwm_scalar(current: float, log_target: Callable[[float], float],
     else:
         accepted = math.log(rng.uniform()) < proposal_lp - current_log_target
     scale.observe(accepted)
-    if accepted:
-        return ScalarStep(proposal, True, proposal_lp)
-    return ScalarStep(current, False, current_log_target)
+    return ScalarStep(proposal, True) if accepted else ScalarStep(current, False)
 
 
 class BlockStep(NamedTuple):
     matrix: np.ndarray
     accepted: bool
-    log_target: float
 
 
 def correlation_block_step(corr: np.ndarray, scale: AdaptiveScale,
                            rng: np.random.Generator,
-                           log_target: Callable[[np.ndarray], float],
-                           current_log_target: float | None = None) -> BlockStep:
+                           log_target: Callable[[np.ndarray, np.ndarray], float]) -> BlockStep:
     """Joint random-walk update of all free correlations.
 
     The p(p-1)/2 below-diagonal entries are perturbed by independent
@@ -148,29 +143,28 @@ def correlation_block_step(corr: np.ndarray, scale: AdaptiveScale,
     validity indicator is part of the target, and the Gaussian proposal
     stays symmetric, so the chain remains correct.  ``corr`` is a plain
     (p, p) array; symmetry and the unit diagonal are preserved exactly.
+    ``log_target(matrix, chol)`` also receives the matrix's lower
+    Cholesky factor, which the validity check computes anyway.
     """
     p = corr.shape[0]
-    rows, cols = np.tril_indices(p, -1)
-    if current_log_target is None:
-        current_log_target = log_target(corr)
+    rows, cols = lower_index(p)
     proposal_flat = corr[rows, cols] + scale.value * rng.standard_normal(rows.size)
     if np.any(np.abs(proposal_flat) >= 1.0):
         scale.observe(False)
-        return BlockStep(corr, False, current_log_target)
+        return BlockStep(corr, False)
     proposal = corr_from_lower(p, proposal_flat)
     try:
-        np.linalg.cholesky(proposal)
+        chol = np.linalg.cholesky(proposal)
     except np.linalg.LinAlgError:
         scale.observe(False)
-        return BlockStep(corr, False, current_log_target)
-    proposal_lp = log_target(proposal)
+        return BlockStep(corr, False)
+    proposal_lp = log_target(proposal, chol)
+    current_lp = log_target(corr, np.linalg.cholesky(corr))
     if proposal_lp == -math.inf:
         accepted = False
-    elif current_log_target == -math.inf:
+    elif current_lp == -math.inf:
         accepted = True
     else:
-        accepted = math.log(rng.uniform()) < proposal_lp - current_log_target
+        accepted = math.log(rng.uniform()) < proposal_lp - current_lp
     scale.observe(accepted)
-    if accepted:
-        return BlockStep(proposal, True, proposal_lp)
-    return BlockStep(corr, False, current_log_target)
+    return BlockStep(proposal, True) if accepted else BlockStep(corr, False)

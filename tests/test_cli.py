@@ -90,6 +90,16 @@ class TestSimulate:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def _returns_file(tmp_path, returns):
+    """A returns file of a (p, T) matrix at gaps of 2."""
+    rows = ["timestamp,gap," + ",".join(f"r_{i}" for i in range(len(returns)))]
+    for j, column in enumerate(returns.T.tolist()):
+        rows.append(",".join([repr(2.0 * j), "" if j == 0 else repr(2.0)] + [repr(x) for x in column]))
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows) + "\n")
+    return data
+
+
 class TestFit:
     def test_irsv_fit_produces_chain_and_summary(self, tmp_path, sv_params):
         sim = tmp_path / "sim"
@@ -151,22 +161,33 @@ class TestFit:
             name = f"rep00{k}.fit.json"
             assert (tmp_path / "both" / name).read_bytes() == (tmp_path / f"one{k}" / name).read_bytes()
 
-    @pytest.mark.parametrize("model", ["irgarch", "irarch"])
+    @pytest.mark.parametrize("model", ["irgarch", "irarch", "irsv", "irmsv"])
     def test_overflowing_return_exits_3(self, tmp_path, capsys, model):
-        # r**2 overflows: rejected before any search starts, without warnings
+        # r**2 overflows: rejected before any search or sweep starts, without warnings
         rng = np.random.default_rng(34)
-        returns = 0.1 * rng.standard_normal(100)
-        returns[50] = 1e200
-        rows = ["timestamp,gap,r_x"]
-        for j, r in enumerate(returns.tolist()):
-            rows.append(f"{2.0 * j!r},{'' if j == 0 else 2.0!r},{r!r}")
-        data = tmp_path / "data.csv"
-        data.write_text("\n".join(rows) + "\n")
+        returns = 0.1 * rng.standard_normal((2 if model == "irmsv" else 1, 100))
+        returns[-1, 50] = 1e200
+        data = _returns_file(tmp_path, returns)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run("fit", "--model", model, "--data", data,
-                       "--out", tmp_path / "o") == 3
+            assert run("fit", "--model", model, "--data", data, "--iters", 20, "--burnin", 10,
+                       "--thin", 1, "--out", tmp_path / "o") == 3
         assert "the return in row 51 (1e+200) overflows when squared" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["irgarch", "irarch", "irsv", "irmsv"])
+    @pytest.mark.parametrize("column,text", [(0, "nan"), (1, "nan"), (2, "nan"), (2, "-inf")])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, model, column, text):
+        # a nan timestamp would defeat the gap check; every model stops in the reader
+        rng = np.random.default_rng(35)
+        data = _returns_file(tmp_path, 0.1 * rng.standard_normal((2 if model == "irmsv" else 1, 60)))
+        lines = data.read_text().splitlines()
+        fields = lines[30].split(",")
+        fields[column] = text
+        lines[30] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        assert run("fit", "--model", model, "--data", data, "--iters", 20, "--burnin", 10,
+                   "--thin", 1, "--out", tmp_path / "o") == 2
+        assert "line 31: number is not finite" in capsys.readouterr().err
 
     def test_irgarch_fit_writes_report(self, tmp_path, garch_params):
         sim = tmp_path / "gsim"

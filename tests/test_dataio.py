@@ -123,6 +123,18 @@ class TestReturnsRoundTrip:
         with pytest.raises(ValueError, match="disagrees"):
             read_returns(path)
 
+    @pytest.mark.parametrize("row", ["nan,1.0,0.2", "1.0,nan,0.2", "1.0,1.0,nan", "1.0,1.0,inf"])
+    def test_non_finite_number_names_its_line(self, tmp_path, row):
+        path = _write(tmp_path / "returns.csv", (
+            "timestamp,gap,r_a\n"
+            "0.0,,0.1\n"
+            "\n"
+            f"{row}\n"
+            "2.0,1.0,0.3\n"
+        ))
+        with pytest.raises(ValueError, match="line 4: number is not finite"):
+            read_returns(path)
+
     def test_blank_line_after_header(self, tmp_path):
         path = _write(tmp_path / "returns.csv", (
             "timestamp,gap,r_s1\n"

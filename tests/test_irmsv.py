@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from reference_densities import joint_observation_density, observation_density
+
 from irvol.core import ScaledGaps, generate_gaps
 from irvol.irmsv import (
     CorrelationMatrix,
     IrMsvParams,
     corr_from_lower,
     correlation_names,
-    joint_observation_density,
     lower_entries,
     simulate_irmsv,
 )
-from irvol.irsv import IrSvParams, forecast, observation_density, simulate_irsv
+from irvol.irsv import IrSvParams, forecast, simulate_irsv
 
 
 def table_params(rho=(0.6, 0.4, 0.2)):

@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from reference_densities import observation_density, state_transition_density, stationary_state_density
+
 from irvol.core import ScaledGaps, generate_gaps
-from irvol.irsv import (
-    IrSvParams,
-    forecast,
-    gap_law,
-    observation_density,
-    simulate_irsv,
-    state_transition_density,
-    stationary_state_density,
-)
+from irvol.irsv import IrSvParams, forecast, gap_law, simulate_irsv
 
 NEG_HALF_LOG_2PI = -0.9189385332046727
 

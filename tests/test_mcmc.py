@@ -138,7 +138,7 @@ class TestCorrelationBlockStep:
         corr = np.eye(2)
         rejected = 0
         for _ in range(50):
-            step = correlation_block_step(corr, scale, rng, lambda R: 0.0)
+            step = correlation_block_step(corr, scale, rng, lambda R, chol: 0.0)
             rejected += not step.accepted
         assert rejected > 25
 
@@ -150,7 +150,7 @@ class TestCorrelationBlockStep:
         corr = np.eye(2)
         draws = np.empty(100_000)
         for i in range(draws.size):
-            step = correlation_block_step(corr, scale, rng, lambda R: 0.0)
+            step = correlation_block_step(corr, scale, rng, lambda R, chol: 0.0)
             corr = step.matrix
             draws[i] = corr[1, 0]
         kept = draws[5000:]
@@ -163,7 +163,7 @@ class TestCorrelationBlockStep:
         corr = np.eye(3)
         for _ in range(500):
             step = correlation_block_step(corr, scale, rng,
-                                          lambda R: -0.5 * float(np.sum(R * R)))
+                                          lambda R, chol: -0.5 * float(np.sum(R * R)))
             corr = step.matrix
             np.testing.assert_array_equal(corr, corr.T)
             np.testing.assert_array_equal(np.diag(corr), np.ones(3))
