@@ -22,7 +22,6 @@ from irvol.irgarch import (
     conditional_loglik,
     filter_sigma2,
     fit_ml,
-    simulate_irarch,
     simulate_irgarch,
 )
 from irvol.irmsv import (
@@ -33,7 +32,6 @@ from irvol.irmsv import (
 from irvol.irsv import (
     ForecastSummary,
     IrSvParams,
-    LatentPath,
     forecast,
     simulate_irsv,
 )

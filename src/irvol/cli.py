@@ -1,13 +1,17 @@
 """Command-line front end: simulate, fit, refresh, forecast, compare, replay.
 
-Every subcommand writes a ``manifest.json`` into its output directory
-recording the resolved options and the produced files; ``irvol replay``
-re-runs a manifest.  Option values resolve in the order: command line,
+Every subcommand resolves the options it reads into one record and
+writes it into the ``manifest.json`` of its output directory twice: as
+``options``, and as ``argv_resolved``, the command line that sets every
+one of them, next to the input and produced files.  ``irvol replay``
+re-runs that command line, so it reproduces the run whatever the
+environment or config file.  Options the subcommand accepts but does
+not use go unrecorded.  A setting resolves in the order: command line,
 then ``IRVOL_<NAME>`` environment variables, then a ``--config`` file of
-``key = value`` lines, then built-in defaults.  With ``--threads 1``
-(the default) every run is bit-reproducible for a fixed seed; replicate
-work parallelizes across processes with per-replicate seed streams, so
-outputs do not depend on the thread count.
+``key = value`` lines, then its default in ``SETTINGS``.  With
+``--threads 1`` (the default) every run is bit-reproducible for a fixed
+seed; replicate work parallelizes across processes with per-replicate
+seed streams, so outputs do not depend on the thread count.
 
 Exit codes: 0 success, 1 I/O error, 2 validation error, 3 numerical
 failure.
@@ -42,15 +46,28 @@ from irvol.dataio import (
 from irvol.irgarch import IrGarchParams, fit_ml, simulate_irgarch
 from irvol.irmsv import CorrelationMatrix, IrMsvParams, simulate_irmsv
 from irvol.irsv import IrSvParams, forecast, simulate_irsv
-from irvol.mcmc import IrMsvPriors, IrSvPriors, McmcConfig, asset_draws, fit_irmsv, fit_irsv
+from irvol.mcmc import (DEFAULT_CONFIG, IrMsvPriors, IrSvPriors, McmcConfig, asset_draws,
+                        fit_irmsv, fit_irsv)
 from irvol.refresh import aggregate_one_second, refresh_sample
 
 ENV_PREFIX = "IRVOL_"
 EXIT_OK, EXIT_IO, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2, 3
-DEFAULT_HORIZONS = "1,5,10,22,44"
 MCMC_MODELS = ("irsv", "irmsv")
 ML_MODELS = ("irgarch", "irarch")
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# the sampler settings of an MCMC fit, by the McmcConfig field each sets
+MCMC_SETTINGS = {"iters": "n_iterations", "burnin": "burn_in", "thin": "thin",
+                 "adapt_interval": "adapt_interval", "latent_stride": "latent_stride",
+                 "progress_every": "progress_every"}
+# Options a flag, an IRVOL_<NAME> variable or a --config line can set: the
+# type of each and the default that holds when none of them does (None:
+# the subcommand needs a value).
+SETTINGS = {
+    "length": (int, None), "replicates": (int, 1), "gap_mean": (float, 3.0),
+    "seed": (int, 0), "threads": (int, 1), "out": (str, None),
+    "holdout": (int, 44), "horizons": (str, "1,5,10,22,44"),
+    **{name: (int, getattr(DEFAULT_CONFIG, field)) for name, field in MCMC_SETTINGS.items()},
+}
 
 
 def _read_config_file(path: str | None) -> dict[str, str]:
@@ -68,22 +85,40 @@ def _read_config_file(path: str | None) -> dict[str, str]:
     return out
 
 
-def _resolve(args, name: str, default, cast):
-    """CLI flag > IRVOL_<NAME> env var > config-file entry > default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    env = os.environ.get(ENV_PREFIX + name.upper())
-    if env is not None:
-        return cast(env)
-    cfg = getattr(args, "_config_map", {})
-    if name in cfg:
-        return cast(cfg[name])
-    return default
+def _options(args, names, **defaults) -> dict:
+    """The value the subcommand reads for each named option, in order.
+
+    A setting resolves flag > IRVOL_<NAME> > --config entry > default,
+    the subcommand's own ``defaults`` before ``SETTINGS``; any other
+    option is its flag's value.
+    """
+    config = _read_config_file(args.config)
+    options = {}
+    for name in names:
+        value = getattr(args, name)
+        if value is None and name in SETTINGS:
+            cast, default = SETTINGS[name]
+            text = os.environ.get(ENV_PREFIX + name.upper(), config.get(name))
+            value = defaults.get(name, default) if text is None else cast(text)
+        options[name] = value
+    return options
 
 
-def _out_dir(args) -> Path:
-    out = _resolve(args, "out", None, str)
+def _argv(subcommand: str, options: dict) -> list[str]:
+    """The command line that gives every option its value in ``options``."""
+    argv = [subcommand]
+    for name, value in options.items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, list):
+            argv += [flag, *value]
+        elif value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv += [flag, str(value)]
+    return argv
+
+
+def _out_dir(out: str | None) -> Path:
     if out is None:
         raise ValueError("an output directory is required (--out)")
     path = Path(out)
@@ -96,13 +131,12 @@ def _load_json(path) -> dict:
         return json.load(handle)
 
 
-def _write_manifest(out_dir: Path, subcommand: str, argv: list[str],
-                    options: dict, inputs: list[str], outputs: list[str],
-                    started: float) -> Path:
+def _write_manifest(out_dir: Path, subcommand: str, options: dict, inputs: list[str],
+                    outputs: list[str], started: float) -> Path:
     manifest = {
         "artifact_version": irvol.__version__,
         "subcommand": subcommand,
-        "argv_resolved": argv,
+        "argv_resolved": _argv(subcommand, options),
         "options": options,
         "inputs": inputs,
         "outputs": outputs,
@@ -173,22 +207,19 @@ def _simulate_replicate(model: str, params_payload: dict, length: int,
 
 def cmd_simulate(args) -> None:
     started = time.time()
-    model = args.model
-    length = _resolve(args, "length", None, int)
-    if length is None or length < 1:
+    o = _options(args, ("model", "params", "length", "replicates", "gap_mean", "seed",
+                        "threads", "out"))
+    if o["length"] is None or o["length"] < 1:
         raise ValueError("--length must be a positive integer")
-    replicates = _resolve(args, "replicates", 1, int)
-    if replicates < 1:
+    if o["replicates"] < 1:
         raise ValueError("--replicates must be at least 1")
-    gap_mean = _resolve(args, "gap_mean", 3.0, float)
-    seed = _resolve(args, "seed", 0, int)
-    threads = _resolve(args, "threads", 1, int)
-    out_dir = _out_dir(args)
-    payload = _load_json(args.params)
+    out_dir = _out_dir(o["out"])
+    payload = _load_json(o["params"])
 
-    jobs = [(model, payload, length, gap_mean, seed, k) for k in range(replicates)]
-    if threads > 1 and replicates > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    jobs = [(o["model"], payload, o["length"], o["gap_mean"], o["seed"], k)
+            for k in range(o["replicates"])]
+    if o["threads"] > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=o["threads"]) as pool:
             results = list(pool.map(_simulate_replicate_star, jobs))
     else:
         results = [_simulate_replicate(*job) for job in jobs]
@@ -198,14 +229,7 @@ def cmd_simulate(args) -> None:
         path = out_dir / f"rep{k:03d}.csv"
         write_returns(path, timestamps, matrix, assets)
         outputs.append(str(path))
-    options = {"model": model, "params": str(args.params), "length": length,
-               "replicates": replicates, "gap_mean": gap_mean, "seed": seed,
-               "threads": threads, "out": str(out_dir)}
-    argv = ["simulate", "--model", model, "--params", str(args.params),
-            "--length", str(length), "--replicates", str(replicates),
-            "--gap-mean", str(gap_mean), "--seed", str(seed),
-            "--threads", str(threads), "--out", str(out_dir)]
-    _write_manifest(out_dir, "simulate", argv, options, [str(args.params)], outputs, started)
+    _write_manifest(out_dir, "simulate", o, [o["params"]], outputs, started)
 
 
 def _simulate_replicate_star(job):
@@ -225,10 +249,10 @@ def _drop_holdout(matrix: np.ndarray, gaps: np.ndarray, holdout: int):
 
 
 def _fit_one_mcmc(model: str, data_path: str, priors_payload: dict | None,
-                  config_kwargs: dict, master_seed: int, index: int,
+                  config_kwargs: dict, holdout: int, master_seed: int, index: int,
                   out_dir: str) -> list[str]:
     timestamps, gaps, matrix, assets = read_returns(data_path)
-    matrix, gaps = _drop_holdout(matrix, gaps, config_kwargs.pop("holdout"))
+    matrix, gaps = _drop_holdout(matrix, gaps, holdout)
     seed = int(_replicate_seed(master_seed, index).generate_state(1)[0] % 2**31)
     config = McmcConfig(rng_seed=seed, **config_kwargs)
     scaled = scale_gaps(gaps)
@@ -267,46 +291,38 @@ def _priors_payload(path: str | None) -> dict | None:
 def cmd_fit(args) -> None:
     started = time.time()
     model = args.model
-    seed = _resolve(args, "seed", 0, int)
-    threads = _resolve(args, "threads", 1, int)
-    out_dir = _out_dir(args)
-    holdout = _resolve(args, "holdout", 0, int)
+    mcmc = model in MCMC_MODELS
+    o = _options(args, ("model", "data", *(("priors", "seed", "threads", *MCMC_SETTINGS)
+                                            if mcmc else ()), "holdout", "out"), holdout=0)
+    out_dir = _out_dir(o["out"])
     outputs: list[str] = []
 
-    for data_path in args.data:
+    for data_path in o["data"]:
         if not Path(data_path).exists():
             raise FileNotFoundError(f"data file not found: {data_path}")
 
-    if model in MCMC_MODELS:
-        priors_payload = _priors_payload(args.priors)
-        config_kwargs = {
-            "n_iterations": _resolve(args, "iters", 20_000, int),
-            "burn_in": _resolve(args, "burnin", 5_000, int),
-            "thin": _resolve(args, "thin", 10, int),
-            "adapt_interval": _resolve(args, "adapt_interval", 200, int),
-            "latent_stride": _resolve(args, "latent_stride", 10, int),
-            "progress_every": _resolve(args, "progress_every", 0, int),
-            "holdout": holdout,
-        }
-        jobs = [(model, str(path), priors_payload, dict(config_kwargs), seed, k, str(out_dir))
-                for k, path in enumerate(args.data)]
-        if threads > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+    if mcmc:
+        priors_payload = _priors_payload(o["priors"])
+        config_kwargs = {field: o[name] for name, field in MCMC_SETTINGS.items()}
+        jobs = [(model, path, priors_payload, config_kwargs, o["holdout"], o["seed"], k,
+                 str(out_dir)) for k, path in enumerate(o["data"])]
+        if o["threads"] > 1 and len(jobs) > 1:
+            with ProcessPoolExecutor(max_workers=o["threads"]) as pool:
                 produced = list(pool.map(_fit_one_mcmc_star, jobs))
         else:
             produced = [_fit_one_mcmc(*job) for job in jobs]
         for group in produced:
             outputs.extend(group)
-    elif model in ML_MODELS:
+    else:
         series = []
-        for data_path in args.data:
+        for data_path in o["data"]:
             timestamps, gaps, matrix, assets = read_returns(data_path)
             if matrix.shape[0] != 1:
                 raise ValueError(f"{model} expects exactly one return column")
-            matrix, gaps = _drop_holdout(matrix, gaps, holdout)
+            matrix, gaps = _drop_holdout(matrix, gaps, o["holdout"])
             series.append((matrix[0], gaps))
         fits = fit_ml(series, arch_only=(model == "irarch"))
-        for data_path, (r, _), fit in zip(args.data, series, fits):
+        for data_path, (r, _), fit in zip(o["data"], series, fits):
             report = {"model": model, **vars(fit.params), **vars(fit),
                       "n_obs_fit": int(r.size), "data_file": str(data_path)}
             del report["params"]
@@ -315,32 +331,17 @@ def cmd_fit(args) -> None:
                 json.dump(report, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             outputs.append(str(path))
-    else:
-        raise ValueError(f"unknown model {model!r}")
-
-    options = {"model": model, "data": [str(p) for p in args.data],
-               "priors": args.priors, "seed": seed, "threads": threads,
-               "holdout": holdout, "out": str(out_dir)}
-    argv = ["fit", "--model", model, "--data", *[str(p) for p in args.data],
-            "--seed", str(seed), "--threads", str(threads),
-            "--holdout", str(holdout), "--out", str(out_dir)]
-    if args.priors:
-        argv += ["--priors", str(args.priors)]
-    if model in MCMC_MODELS:
-        argv += ["--iters", str(config_kwargs["n_iterations"]),
-                 "--burnin", str(config_kwargs["burn_in"]),
-                 "--thin", str(config_kwargs["thin"])]
-    _write_manifest(out_dir, "fit", argv, options,
-                    [str(p) for p in args.data], outputs, started)
+    _write_manifest(out_dir, "fit", o, list(o["data"]), outputs, started)
 
 
 def cmd_refresh(args) -> None:
     started = time.time()
-    out_dir = _out_dir(args)
-    ticks = read_ticks(args.ticks)
+    o = _options(args, ("ticks", "raw", "out"))
+    out_dir = _out_dir(o["out"])
+    ticks = read_ticks(o["ticks"])
     if len(ticks) < 2:
         raise ValueError("refresh synchronization needs at least two assets")
-    if not args.raw:
+    if not o["raw"]:
         ticks = [aggregate_one_second(t) for t in ticks]
     result = refresh_sample(ticks)
     if len(result) < 2:
@@ -349,12 +350,7 @@ def cmd_refresh(args) -> None:
     timestamps = result.refresh_times[1:]
     path = out_dir / "returns.csv"
     write_returns(path, timestamps, returns, [t.asset_id for t in ticks])
-    options = {"ticks": str(args.ticks), "raw": bool(args.raw), "out": str(out_dir)}
-    argv = ["refresh", "--ticks", str(args.ticks), "--out", str(out_dir)]
-    if args.raw:
-        argv.append("--raw")
-    _write_manifest(out_dir, "refresh", argv, options, [str(args.ticks)],
-                    [str(path)], started)
+    _write_manifest(out_dir, "refresh", o, [o["ticks"]], [str(path)], started)
 
 
 def _parse_horizons(text: str) -> list[int]:
@@ -371,17 +367,17 @@ def _parse_horizons(text: str) -> list[int]:
 
 def cmd_forecast(args) -> None:
     started = time.time()
-    model = args.model
-    holdout = _resolve(args, "holdout", 44, int)
-    horizons = _parse_horizons(_resolve(args, "horizons", DEFAULT_HORIZONS, str))
-    out_dir = _out_dir(args)
+    o = _options(args, ("model", "chain", "data", "holdout", "horizons", "out"))
+    model, holdout = o["model"], o["holdout"]
+    horizons = _parse_horizons(o["horizons"])
+    out_dir = _out_dir(o["out"])
 
-    chain = read_chain(args.chain)
-    meta = read_chain_meta(args.chain) or {}
+    chain = read_chain(o["chain"])
+    meta = read_chain_meta(o["chain"]) or {}
     if meta.get("model") not in (None, model):
         raise ValueError(f"chain was fit as {meta.get('model')!r}, not {model!r}")
     scale_factor = float(meta.get("gap_scale_factor", 1.0))
-    timestamps, gaps, matrix, assets = read_returns(args.data)
+    timestamps, gaps, matrix, assets = read_returns(o["data"])
     n = matrix.shape[1]
     if not (0 < holdout < n):
         raise ValueError("--holdout must leave both fit and holdout observations")
@@ -414,14 +410,7 @@ def cmd_forecast(args) -> None:
                          "r2_forecast", "absr_forecast", "vol_forecast"])
         for row in rows:
             writer.writerow([row[0], row[1], row[2]] + [repr(v) for v in row[3:]])
-    options = {"model": model, "chain": str(args.chain), "data": str(args.data),
-               "holdout": holdout, "horizons": ",".join(map(str, horizons)),
-               "out": str(out_dir)}
-    argv = ["forecast", "--model", model, "--chain", str(args.chain),
-            "--data", str(args.data), "--holdout", str(holdout),
-            "--horizons", ",".join(map(str, horizons)), "--out", str(out_dir)]
-    _write_manifest(out_dir, "forecast", argv, options,
-                    [str(args.chain), str(args.data)], [str(path)], started)
+    _write_manifest(out_dir, "forecast", o, [o["chain"], o["data"]], [str(path)], started)
 
 
 def _read_forecast_file(path):
@@ -441,9 +430,10 @@ def _read_forecast_file(path):
 
 def cmd_compare(args) -> None:
     started = time.time()
-    holdout = _resolve(args, "holdout", 44, int)
-    out_dir = _out_dir(args)
-    timestamps, gaps, matrix, assets = read_returns(args.data)
+    o = _options(args, ("forecasts", "data", "holdout", "out"))
+    holdout = o["holdout"]
+    out_dir = _out_dir(o["out"])
+    timestamps, gaps, matrix, assets = read_returns(o["data"])
     if not (0 < holdout <= matrix.shape[1]):
         raise ValueError("--holdout must be positive and at most the series length")
     realized = matrix[:, matrix.shape[1] - holdout:]
@@ -451,7 +441,7 @@ def cmd_compare(args) -> None:
 
     targets = (("r2", "r2_forecast"), ("absr", "absr_forecast"), ("vol", "vol_forecast"))
     results = []
-    for fpath in args.forecasts:
+    for fpath in o["forecasts"]:
         rows = _read_forecast_file(fpath)
         model = rows[0]["model"]
         by_horizon: dict[int, list[dict]] = {}
@@ -480,13 +470,7 @@ def cmd_compare(args) -> None:
         writer.writerow(["model", "target", "horizon", "mae"])
         for model, label, horizon, mae in results:
             writer.writerow([model, label, horizon, repr(float(mae))])
-    options = {"forecasts": [str(p) for p in args.forecasts], "data": str(args.data),
-               "holdout": holdout, "out": str(out_dir)}
-    argv = ["compare", "--forecasts", *[str(p) for p in args.forecasts],
-            "--data", str(args.data), "--holdout", str(holdout), "--out", str(out_dir)]
-    _write_manifest(out_dir, "compare", argv, options,
-                    [str(p) for p in args.forecasts] + [str(args.data)],
-                    [str(path)], started)
+    _write_manifest(out_dir, "compare", o, o["forecasts"] + [o["data"]], [str(path)], started)
 
 
 def cmd_replay(args) -> None:
@@ -510,18 +494,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=irvol.__version__)
     sub = parser.add_subparsers(dest="subcommand")
 
+    def setting(p, name, *aliases, **kwargs):
+        p.add_argument("--" + name.replace("_", "-"), *aliases, dest=name,
+                       type=SETTINGS[name][0], **kwargs)
+
     def add_common(p):
         p.add_argument("--config", default=None, help="key = value options file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
+        setting(p, "seed")
+        setting(p, "threads")
+        setting(p, "out", help="output directory")
 
     p = sub.add_parser("simulate", help="simulate replicate data sets")
     p.add_argument("--model", required=True, choices=MCMC_MODELS + ML_MODELS)
     p.add_argument("--params", required=True, help="JSON file of true parameters")
-    p.add_argument("--length", "-T", type=int, default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--gap-mean", dest="gap_mean", type=float, default=None)
+    setting(p, "length", "-T")
+    setting(p, "replicates")
+    setting(p, "gap_mean")
     add_common(p)
     p.set_defaults(handler=cmd_simulate)
 
@@ -529,14 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MCMC_MODELS + ML_MODELS)
     p.add_argument("--data", required=True, nargs="+")
     p.add_argument("--priors", default=None, help="JSON file of prior settings")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--burnin", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
-    p.add_argument("--adapt-interval", dest="adapt_interval", type=int, default=None)
-    p.add_argument("--latent-stride", dest="latent_stride", type=int, default=None)
-    p.add_argument("--progress-every", dest="progress_every", type=int, default=None)
-    p.add_argument("--holdout", type=int, default=None,
-                   help="withhold this many final observations from the fit")
+    for name in MCMC_SETTINGS:
+        setting(p, name)
+    setting(p, "holdout", help="withhold this many final observations from the fit")
     add_common(p)
     p.set_defaults(handler=cmd_fit)
 
@@ -551,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MCMC_MODELS)
     p.add_argument("--chain", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--holdout", type=int, default=None)
-    p.add_argument("--horizons", default=None)
+    setting(p, "holdout")
+    setting(p, "horizons")
     p.add_argument("--draws-per-sample", dest="draws_per_sample", type=int, default=None,
                    help="no effect: forecasts are exact; accepted so older command "
                         "lines still run")
@@ -562,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="MAE table for forecast files vs holdout data")
     p.add_argument("--forecasts", required=True, nargs="+")
     p.add_argument("--data", required=True, help="full returns file incl. holdout")
-    p.add_argument("--holdout", type=int, default=None)
+    setting(p, "holdout")
     add_common(p)
     p.set_defaults(handler=cmd_compare)
 
@@ -580,8 +563,6 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_VALIDATION
     try:
-        if hasattr(args, "config"):
-            args._config_map = _read_config_file(args.config)
         args.handler(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -89,6 +89,8 @@ def read_ticks(path) -> list[TickSeries]:
                 price = float(rowentry[2])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: unparseable price {rowentry[2]!r}") from None
+            if not (abs(ts) < np.inf and abs(price) < np.inf):
+                raise ValueError(f"{path}: line {lineno}: number is not finite")
             if not price > 0:
                 raise ValueError(f"{path}: line {lineno}: price must be positive")
             groups.setdefault(asset, []).append((ts, price))

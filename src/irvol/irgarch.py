@@ -125,11 +125,6 @@ def simulate_irgarch(params: IrGarchParams, gaps, length: int, seed=None):
     return sigma2, r
 
 
-def simulate_irarch(omega: float, alpha1: float, gaps, length: int, seed=None):
-    """Gap-time ARCH(1) simulation: the GARCH recursion with beta1 = 0."""
-    return simulate_irgarch(IrGarchParams(omega, alpha1, 0.0), gaps, length, seed)
-
-
 def filter_sigma2(params: IrGarchParams, returns, gaps) -> np.ndarray:
     """Run the variance recursion on observed returns.
 

@@ -79,25 +79,6 @@ def gap_law(phi, gaps):
     return phi**gaps, (1.0 - phi ** (2.0 * gaps)) / omp
 
 
-@dataclass(frozen=True)
-class LatentPath:
-    """Realized log-volatility path aligned with a return series."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.h, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("h must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("h must contain only finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "h", arr)
-
-    def __len__(self) -> int:
-        return self.h.size
-
-
 def _recurse_states(mu: float, phi: float, sigma_eta: float, gaps: np.ndarray,
                     z: np.ndarray) -> np.ndarray:
     """Run the latent recursion given standard-normal state noise z."""
@@ -118,7 +99,7 @@ def _recurse_states(mu: float, phi: float, sigma_eta: float, gaps: np.ndarray,
 
 
 def simulate_irsv(params: IrSvParams, gaps, length: int, seed=None):
-    """Simulate (LatentPath, returns) over the given scaled gap sequence.
+    """Simulate (h, returns) over the given scaled gap sequence.
 
     ``gaps`` supplies g_j for j = 2..length and must lie in (0, 1].
     """
@@ -131,7 +112,7 @@ def simulate_irsv(params: IrSvParams, gaps, length: int, seed=None):
     e = rng.standard_normal(length)
     h = _recurse_states(params.mu, params.phi, params.sigma_eta, g, z)
     r = np.exp(h / 2.0) * e
-    return LatentPath(h), r
+    return h, r
 
 
 @dataclass(frozen=True)

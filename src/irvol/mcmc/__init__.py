@@ -8,7 +8,7 @@ from irvol.mcmc.chain import (
     effective_sample_size,
     summarize,
 )
-from irvol.mcmc.fit import asset_draws, fit_irmsv, fit_irsv
+from irvol.mcmc.fit import DEFAULT_CONFIG, asset_draws, fit_irmsv, fit_irsv
 from irvol.mcmc.priors import IrMsvPriors, IrSvPriors
 from irvol.mcmc.samplers import (
     AdaptiveScale,
@@ -19,6 +19,7 @@ from irvol.mcmc.samplers import (
 
 __all__ = [
     "AdaptiveScale",
+    "DEFAULT_CONFIG",
     "IrMsvPriors",
     "IrSvPriors",
     "McmcChain",

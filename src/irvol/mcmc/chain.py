@@ -89,10 +89,6 @@ class McmcChain:
         except KeyError:
             raise KeyError(f"no chain column named {name!r}") from None
 
-    def parameter_names(self) -> list[str]:
-        """Names excluding latent-state columns."""
-        return [n for n in self.names if not n.startswith("h")]
-
 
 @dataclass(frozen=True)
 class ParameterSummary:

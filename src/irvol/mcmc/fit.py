@@ -58,6 +58,7 @@ from irvol.mcmc.samplers import AdaptiveScale, VectorAdaptiveScale, adaptive_rwm
 
 H_INIT_FLOOR = 1e-12  # added to r^2 before the log when initializing h
 MU_INIT_OFFSET = 1.27  # rough mean of -log(chi2_1), recentres log r^2 on mu
+DEFAULT_CONFIG = McmcConfig(n_iterations=20_000, burn_in=5_000, thin=10)  # a fit given none
 
 
 def _parities(length: int) -> list[tuple[slice, slice, slice]]:
@@ -299,7 +300,8 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
     h[:] = np.log(r2 + H_INIT_FLOOR)
     eps = r * np.exp(-h / 2.0)
     corr = np.eye(p)
-    prec = np.eye(p)
+    prec = np.eye(p)  # corr's inverse
+    logdet = 0.0  # and its log-determinant
 
     parities = _parities(length)
     target, interval = config.target_accept_scalar, config.adapt_interval
@@ -342,15 +344,21 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
         if p > 1:
             scatter = eps @ eps.T
 
-            def corr_target(candidate, chol):
-                logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-                quad = float(np.sum(np.linalg.inv(candidate) * scatter))
-                return (priors.lkj_eta - 1.0) * logdet - 0.5 * (length * logdet + quad)
+            def corr_target(logdet_c, prec_c):
+                quad = float(np.sum(prec_c * scatter))
+                return (priors.lkj_eta - 1.0) * logdet_c - 0.5 * (length * logdet_c + quad)
 
-            block = correlation_block_step(corr, corr_scale, rng, corr_target)
+            proposed = []  # the proposal's log-determinant and inverse
+
+            def proposal_target(candidate, chol):
+                proposed[:] = 2.0 * float(np.sum(np.log(np.diag(chol)))), np.linalg.inv(candidate)
+                return corr_target(*proposed)
+
+            block = correlation_block_step(corr, corr_scale, rng, proposal_target,
+                                           corr_target(logdet, prec))
             if block.accepted:
                 corr = block.matrix
-                prec = np.linalg.inv(corr)
+                logdet, prec = proposed
             corr_accepts += block.accepted if tracking else 0
 
         if tracking:
@@ -382,7 +390,7 @@ def fit_irsv(series: GapSeries, priors: IrSvPriors | None = None,
     including the final one, which forecasting needs).
     """
     priors = priors or IrSvPriors()
-    config = config or McmcConfig(n_iterations=20_000, burn_in=5_000, thin=10)
+    config = config or DEFAULT_CONFIG
     r = series.values
     if r.size < 10:
         raise ValueError("need at least 10 observations to fit")
@@ -409,7 +417,7 @@ def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
     sigma2_i, the correlations, and strided latent sites per asset.
     """
     priors = priors or IrMsvPriors()
-    config = config or McmcConfig(n_iterations=20_000, burn_in=5_000, thin=10)
+    config = config or DEFAULT_CONFIG
     r = np.asarray(returns, dtype=float)
     if r.ndim != 2 or r.shape[0] < 2:
         raise ValueError("returns must be a (p >= 2, T) matrix")

@@ -134,7 +134,8 @@ class BlockStep(NamedTuple):
 
 def correlation_block_step(corr: np.ndarray, scale: AdaptiveScale,
                            rng: np.random.Generator,
-                           log_target: Callable[[np.ndarray, np.ndarray], float]) -> BlockStep:
+                           log_target: Callable[[np.ndarray, np.ndarray], float],
+                           current_log_target: float | None = None) -> BlockStep:
     """Joint random-walk update of all free correlations.
 
     The p(p-1)/2 below-diagonal entries are perturbed by independent
@@ -144,7 +145,8 @@ def correlation_block_step(corr: np.ndarray, scale: AdaptiveScale,
     stays symmetric, so the chain remains correct.  ``corr`` is a plain
     (p, p) array; symmetry and the unit diagonal are preserved exactly.
     ``log_target(matrix, chol)`` also receives the matrix's lower
-    Cholesky factor, which the validity check computes anyway.
+    Cholesky factor, which the validity check computes anyway.  Passing
+    ``current_log_target`` skips re-evaluating the target at ``corr``.
     """
     p = corr.shape[0]
     rows, cols = lower_index(p)
@@ -159,12 +161,13 @@ def correlation_block_step(corr: np.ndarray, scale: AdaptiveScale,
         scale.observe(False)
         return BlockStep(corr, False)
     proposal_lp = log_target(proposal, chol)
-    current_lp = log_target(corr, np.linalg.cholesky(corr))
+    if current_log_target is None:
+        current_log_target = log_target(corr, np.linalg.cholesky(corr))
     if proposal_lp == -math.inf:
         accepted = False
-    elif current_lp == -math.inf:
+    elif current_log_target == -math.inf:
         accepted = True
     else:
-        accepted = math.log(rng.uniform()) < proposal_lp - current_lp
+        accepted = math.log(rng.uniform()) < proposal_lp - current_log_target
     scale.observe(accepted)
     return BlockStep(proposal, True) if accepted else BlockStep(corr, False)

@@ -23,29 +23,22 @@ class RefreshResult:
     """Synchronized prices on the common refresh-time grid.
 
     ``prices[i, j]`` is the last observed price of asset i at or before
-    ``refresh_times[j]``; ``counts[i]`` is the number of ticks of asset i
-    consumed through the final refresh time.
+    ``refresh_times[j]``.
     """
 
     refresh_times: np.ndarray
     prices: np.ndarray
-    counts: np.ndarray
 
     def __post_init__(self):
         tau = _as_1d_floats(self.refresh_times, "refresh_times")
         prices = np.array(self.prices, dtype=float)
-        counts = np.array(self.counts, dtype=int)
         if np.any(np.diff(tau) <= 0):
             raise ValueError("refresh times must be strictly increasing")
         if prices.ndim != 2 or prices.shape[1] != tau.size:
             raise ValueError("prices must be a (n_assets, n_refresh_times) matrix")
-        if counts.shape != (prices.shape[0],):
-            raise ValueError("counts must hold one entry per asset")
         prices.setflags(write=False)
-        counts.setflags(write=False)
         object.__setattr__(self, "refresh_times", tau)
         object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "counts", counts)
 
     @property
     def n_assets(self) -> int:
@@ -103,9 +96,7 @@ def refresh_sample(ticks: Sequence[TickSeries]) -> RefreshResult:
     tau = refresh_times([t.timestamps for t in ticks])
     p = len(ticks)
     prices = np.empty((p, tau.size))
-    counts = np.empty(p, dtype=int)
     for i, series in enumerate(ticks):
         pos = np.searchsorted(series.timestamps, tau, side="right") - 1
         prices[i] = series.prices[pos]
-        counts[i] = int(np.searchsorted(series.timestamps, tau[-1], side="right"))
-    return RefreshResult(tau, prices, counts)
+    return RefreshResult(tau, prices)

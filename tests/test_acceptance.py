@@ -454,7 +454,7 @@ def test_criterion_9_unit_gap_collapse():
     size = 400
     params = IrSvParams(-9.0, 0.6, 0.8)
     gaps = ScaledGaps(np.ones(size - 1), 1.0)
-    path, r = simulate_irsv(params, gaps, size, seed=901)
+    h, r = simulate_irsv(params, gaps, size, seed=901)
 
     # bit-level simulation agreement under a shared seed
     rng = np.random.default_rng(901)
@@ -467,7 +467,7 @@ def test_criterion_9_unit_gap_collapse():
         x = params.phi * x + params.sigma_eta * z[j]
         h_ref[j] = params.mu + x
     r_ref = np.exp(h_ref / 2.0) * e
-    bit_ok = np.array_equal(path.h, h_ref) and np.array_equal(r, r_ref)
+    bit_ok = np.array_equal(h, h_ref) and np.array_equal(r, r_ref)
 
     # posterior agreement between the two independently coded samplers
     series = GapSeries.from_gaps(r, gaps.gaps)

@@ -255,6 +255,13 @@ class TestRefresh:
         ticks.write_text("asset,timestamp,price\nA,1.0,10.0\nA,2.0,11.0\n")
         assert run("refresh", "--ticks", ticks, "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("row", ["A,inf,11.0", "A,2.0,inf"])
+    def test_non_finite_tick_names_file_and_line(self, tmp_path, capsys, row):
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text(TICKS.replace("A,3.0,11.0", row))
+        assert run("refresh", "--ticks", ticks, "--out", tmp_path / "o") == 2
+        assert f"{ticks}: line 3: number is not finite" in capsys.readouterr().err
+
     def test_duplicate_timestamps_collapsed(self, tmp_path):
         ticks = tmp_path / "ticks.csv"
         ticks.write_text(TICKS + "B,6.0,23.0\n")  # replaces the 22.0 tick
@@ -410,6 +417,84 @@ class TestReplayAndConfig:
                    "--config", cfg, "--seed", 55, "--out", out3) == 0
         manifest = json.loads((out3 / "manifest.json").read_text())
         assert manifest["options"]["seed"] == 55
+
+    @pytest.mark.parametrize("model, params", [
+        ("irsv", {"mu": -9.0, "phi": 0.2, "sigma_eta": 0.8}),
+        ("irmsv", {"mu": [-9.0, -9.5], "phi": [0.7, 0.5], "sigma": [1.0, 0.9],
+                   "correlation": [[1.0, 0.6], [0.6, 1.0]]}),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_replay_reproduces_fit_settings(self, tmp_path, monkeypatch, model, params,
+                                            source):
+        for key in [k for k in os.environ if k.startswith("IRVOL_")]:
+            monkeypatch.delenv(key)
+        sim = tmp_path / "sim"
+        assert run("simulate", "--model", model, "--params",
+                   write_json(tmp_path / "p.json", params), "--length", 90, "--seed", 3,
+                   "--out", sim) == 0
+        settings = {"latent_stride": "7", "adapt_interval": "25", "progress_every": "150"}
+        argv = ["fit", "--model", model, "--data", sim / "rep000.csv", "--iters", 300,
+                "--burnin", 100, "--thin", 4, "--seed", 9, "--out", tmp_path / "fit"]
+        cfg = tmp_path / "run.cfg"
+        if source == "flag":
+            for name, value in settings.items():
+                argv += ["--" + name.replace("_", "-"), value]
+        elif source == "env":
+            for name, value in settings.items():
+                monkeypatch.setenv("IRVOL_" + name.upper(), value)
+        else:
+            cfg.write_text("".join(f"{name} = {value}\n" for name, value in settings.items()))
+            argv += ["--config", cfg]
+        assert run(*argv) == 0
+        meta = json.loads((tmp_path / "fit" / "rep000.chain.csv.meta.json").read_text())
+        assert {name: str(meta["config"][name]) for name in settings} == settings
+
+        for name in settings:
+            monkeypatch.delenv("IRVOL_" + name.upper(), raising=False)
+        cfg.unlink(missing_ok=True)
+        replayed = tmp_path / "replayed"
+        assert run("replay", "--manifest", tmp_path / "fit" / "manifest.json",
+                   "--out", replayed) == 0
+        for name in ("rep000.chain.csv", "rep000.chain.csv.meta.json", "rep000.summary.csv"):
+            assert (tmp_path / "fit" / name).read_bytes() == (replayed / name).read_bytes()
+
+    @pytest.mark.parametrize("argv, env, config, output", [
+        (["simulate", "--model", "irsv", "--params", "sv.json"], {"IRVOL_SEED": "6"},
+         "length = 50\ngap_mean = 2.5\n", "rep000.csv"),
+        (["refresh", "--ticks", "ticks.csv", "--raw"], {"IRVOL_OUT": "run"}, "", "returns.csv"),
+        (["forecast", "--model", "irsv", "--chain", "fit/rep000.chain.csv",
+          "--data", "sim/rep000.csv"], {"IRVOL_HOLDOUT": "20"}, "horizons = 1,3,20\n",
+         "forecast.csv"),
+        (["compare", "--forecasts", "fc/forecast.csv", "--data", "sim/rep000.csv"],
+         {"IRVOL_HOLDOUT": "20"}, "", "mae.csv"),
+    ])
+    def test_replay_reproduces_each_subcommand(self, tmp_path, monkeypatch, argv, env, config,
+                                               output):
+        for key in [k for k in os.environ if k.startswith("IRVOL_")]:
+            monkeypatch.delenv(key)
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "sv.json", {"mu": -9.0, "phi": 0.2, "sigma_eta": 0.8})
+        (tmp_path / "ticks.csv").write_text(TICKS)
+        assert run("simulate", "--model", "irsv", "--params", "sv.json", "--length", 100,
+                   "--seed", 12, "--out", "sim") == 0
+        assert run("fit", "--model", "irsv", "--data", "sim/rep000.csv", "--iters", 300,
+                   "--burnin", 100, "--thin", 4, "--holdout", 20, "--seed", 13,
+                   "--out", "fit") == 0
+        assert run("forecast", "--model", "irsv", "--chain", "fit/rep000.chain.csv",
+                   "--data", "sim/rep000.csv", "--holdout", 20, "--horizons", "1,5",
+                   "--out", "fc") == 0
+
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        (tmp_path / "run.cfg").write_text(config)
+        out = [] if "IRVOL_OUT" in env else ["--out", "run"]
+        assert run(*argv, "--config", "run.cfg", *out) == 0
+        for key in env:
+            monkeypatch.delenv(key)
+        (tmp_path / "run.cfg").unlink()
+        assert run("replay", "--manifest", "run/manifest.json", "--out", "replayed") == 0
+        assert ((tmp_path / "run" / output).read_bytes()
+                == (tmp_path / "replayed" / output).read_bytes())
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -13,7 +13,6 @@ from irvol.irgarch import (
     filter_sigma2,
     fit_ml,
     persistence_at_min_gap,
-    simulate_irarch,
     simulate_irgarch,
     validate_gap_constraint,
 )
@@ -111,16 +110,9 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_irgarch(SCENARIO_1, gaps, 100, seed=0)
 
-    def test_arch_specializes_garch(self):
-        gaps = draw_positive_poisson(499, 3.0, seed=8)
-        a = simulate_irarch(0.01, 0.6, gaps, 500, seed=9)
-        b = simulate_irgarch(IrGarchParams(0.01, 0.6, 0.0), gaps, 500, seed=9)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
     def test_arch_long_run_mean_r2(self):
         gaps = draw_positive_poisson(199_999, 3.0, seed=10)
-        _, r = simulate_irarch(0.01, 0.6, gaps, 200_000, seed=11)
+        _, r = simulate_irgarch(IrGarchParams(0.01, 0.6, 0.0), gaps, 200_000, seed=11)
         r2 = r * r
         assert abs(r2.mean() - 0.01) < 3.0 * batch_se(r2)
 
@@ -128,7 +120,7 @@ class TestSimulate:
         # x_j = alpha**g_j * x_{j-1} + innovation with x = r^2 - omega
         omega, alpha = 0.01, 0.6
         gaps = draw_positive_poisson(199_999, 3.0, seed=12)
-        _, r = simulate_irarch(omega, alpha, gaps, 200_000, seed=13)
+        _, r = simulate_irgarch(IrGarchParams(omega, alpha, 0.0), gaps, 200_000, seed=13)
         x = r * r - omega
         resid = x[1:] - alpha**gaps * x[:-1]
         assert abs(resid.mean()) < 3.0 * batch_se(resid)
@@ -418,7 +410,7 @@ class TestFitMl:
 
     def test_arch_only_mode(self):
         gaps = draw_positive_poisson(4999, 3.0, seed=26)
-        _, r = simulate_irarch(0.01, 0.6, gaps, 5000, seed=27)
+        _, r = simulate_irgarch(IrGarchParams(0.01, 0.6, 0.0), gaps, 5000, seed=27)
         fit = fit_ml([(r, gaps)], arch_only=True)[0]
         assert fit.params.beta1 == 0.0
         assert fit.params.alpha1 == pytest.approx(0.6, abs=0.1)

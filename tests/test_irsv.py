@@ -41,22 +41,21 @@ class TestSimulate:
     def test_degenerate_state_noise(self):
         p = IrSvParams(-2.0, 0.5, 1e-300)
         gaps = generate_gaps(4999, 3.0, seed=1)
-        path, r = simulate_irsv(p, gaps, 5000, seed=2)
-        np.testing.assert_array_equal(path.h, np.full(5000, -2.0))
+        h, r = simulate_irsv(p, gaps, 5000, seed=2)
+        np.testing.assert_array_equal(h, np.full(5000, -2.0))
         assert np.var(r) == pytest.approx(math.exp(-2.0), rel=0.1)
 
     def test_stationary_variance(self):
         p = IrSvParams(-9.0, 0.2, 0.8)
         gaps = generate_gaps(4999, 3.0, seed=3)
-        path, _ = simulate_irsv(p, gaps, 5000, seed=4)
-        se = batch_se((path.h - path.h.mean()) ** 2)
-        assert abs(np.var(path.h) - 0.64 / 0.96) < 3.0 * se
+        h, _ = simulate_irsv(p, gaps, 5000, seed=4)
+        se = batch_se((h - h.mean()) ** 2)
+        assert abs(np.var(h) - 0.64 / 0.96) < 3.0 * se
 
     def test_unit_gaps_reduce_to_ar1(self):
         p = IrSvParams(-9.0, 0.2, 0.8)
         gaps = ScaledGaps(np.ones(4999), 1.0)
-        path, _ = simulate_irsv(p, gaps, 5000, seed=5)
-        h = path.h
+        h, _ = simulate_irsv(p, gaps, 5000, seed=5)
         lag1 = np.corrcoef(h[:-1], h[1:])[0, 1]
         assert abs(lag1 - 0.2) < 0.05
 
@@ -65,7 +64,7 @@ class TestSimulate:
         gaps = generate_gaps(99, 3.0, seed=6)
         a = simulate_irsv(p, gaps, 100, seed=7)
         b = simulate_irsv(p, gaps, 100, seed=7)
-        np.testing.assert_array_equal(a[0].h, b[0].h)
+        np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_negative_phi_rejected(self):
@@ -84,8 +83,7 @@ class TestSimulate:
         p = IrSvParams(0.0, 0.7, 0.6)
         pattern = np.tile([0.4, 0.6], 100_000)
         gaps = ScaledGaps(pattern, 1.0)
-        path, _ = simulate_irsv(p, gaps, pattern.size + 1, seed=8)
-        h = path.h
+        h, _ = simulate_irsv(p, gaps, pattern.size + 1, seed=8)
         prod = (h[:-2] - h[:-2].mean()) * (h[2:] - h[2:].mean())
         expected = p.stationary_var * p.phi**1.0
         assert abs(prod.mean() - expected) < 3.0 * batch_se(prod)

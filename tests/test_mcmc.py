@@ -262,7 +262,6 @@ class TestFitIrsv:
         assert chain.n_draws == 100
         assert chain.names[:3] == ("mu", "phi", "sigma_eta")
         assert "h_94" in chain.names  # final site always stored
-        assert chain.parameter_names() == ["mu", "phi", "sigma_eta"]
         assert set(chain.acceptance_rates) == {"h", "mu", "phi", "sigma_eta"}
         for rate in chain.acceptance_rates.values():
             assert 0.0 <= rate <= 1.0

@@ -108,7 +108,6 @@ class TestRefreshSample:
         np.testing.assert_allclose(out.refresh_times, [2, 3, 6])
         np.testing.assert_allclose(out.prices[0], [10.0, 11.0, 12.0])
         np.testing.assert_allclose(out.prices[1], [20.0, 21.0, 22.0])
-        np.testing.assert_array_equal(out.counts, [3, 3])
 
     def test_identical_series(self):
         a = TickSeries("A", [1, 2, 3], [5.0, 6.0, 7.0])
