@@ -10,7 +10,6 @@ from irvol.core import (
     GapSeries,
     ScaledGaps,
     TickSeries,
-    compute_gaps,
     draw_positive_poisson,
     generate_gaps,
     log_returns,

@@ -8,20 +8,20 @@ re-runs that command line, so it reproduces the run whatever the
 environment or config file.  Options the subcommand accepts but does
 not use go unrecorded.  A setting resolves in the order: command line,
 then ``IRVOL_<NAME>`` environment variables, then a ``--config`` file of
-``key = value`` lines, then its default in ``SETTINGS``.  With
+``key = value`` lines, whose every key must be one of ``SETTINGS``,
+then its default in ``SETTINGS``.  With
 ``--threads 1`` (the default) every run is bit-reproducible for a fixed
 seed; replicate work parallelizes across processes with per-replicate
 seed streams, so outputs do not depend on the thread count.
 
 Exit codes: 0 success, 1 I/O error, 2 validation error, 3 numerical
-failure.
+failure; ``irvol replay`` exits with the replayed command's code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -37,9 +37,12 @@ from irvol.core import GapSeries, draw_positive_poisson, generate_gaps, log_retu
 from irvol.dataio import (
     read_chain,
     read_chain_meta,
+    read_forecasts,
+    read_json,
     read_returns,
     read_ticks,
     write_chain,
+    write_json,
     write_returns,
     write_summary,
 )
@@ -70,10 +73,14 @@ SETTINGS = {
 }
 
 
-def _read_config_file(path: str | None) -> dict[str, str]:
+def _read_config_file(path: str | None) -> dict[str, tuple[str, str]]:
+    """Each key of a --config file with its value text and where it is set.
+
+    Every key must be one of ``SETTINGS``, read by this subcommand or not.
+    """
     if not path:
         return {}
-    out: dict[str, str] = {}
+    out: dict[str, tuple[str, str]] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -81,7 +88,10 @@ def _read_config_file(path: str | None) -> dict[str, str]:
         if "=" not in stripped:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        out[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in SETTINGS:
+            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+        out[key] = (value.strip(), f"{path}: line {lineno}")
     return out
 
 
@@ -98,8 +108,17 @@ def _options(args, names, **defaults) -> dict:
         value = getattr(args, name)
         if value is None and name in SETTINGS:
             cast, default = SETTINGS[name]
-            text = os.environ.get(ENV_PREFIX + name.upper(), config.get(name))
-            value = defaults.get(name, default) if text is None else cast(text)
+            variable = ENV_PREFIX + name.upper()
+            text, where = ((os.environ[variable], variable) if variable in os.environ
+                           else config.get(name, (None, None)))
+            if text is None:
+                value = defaults.get(name, default)
+            else:
+                try:
+                    value = cast(text)
+                except ValueError:
+                    raise ValueError(f"{where}: {name}: invalid {cast.__name__} "
+                                     f"value {text!r}") from None
         options[name] = value
     return options
 
@@ -126,11 +145,6 @@ def _out_dir(out: str | None) -> Path:
     return path
 
 
-def _load_json(path) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
 def _write_manifest(out_dir: Path, subcommand: str, options: dict, inputs: list[str],
                     outputs: list[str], started: float) -> Path:
     manifest = {
@@ -144,10 +158,17 @@ def _write_manifest(out_dir: Path, subcommand: str, options: dict, inputs: list[
         "elapsed_seconds": round(time.time() - started, 3),
     }
     path = out_dir / "manifest.json"
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, manifest)
     return path
+
+
+def _run_jobs(fn, jobs: list[tuple], threads: int) -> list:
+    """``fn(*job)`` for each job, in order, across ``threads`` processes when
+    there are several jobs."""
+    if threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]
 
 
 def _replicate_seed(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -214,15 +235,10 @@ def cmd_simulate(args) -> None:
     if o["replicates"] < 1:
         raise ValueError("--replicates must be at least 1")
     out_dir = _out_dir(o["out"])
-    payload = _load_json(o["params"])
-
+    payload = read_json(o["params"])
     jobs = [(o["model"], payload, o["length"], o["gap_mean"], o["seed"], k)
             for k in range(o["replicates"])]
-    if o["threads"] > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=o["threads"]) as pool:
-            results = list(pool.map(_simulate_replicate_star, jobs))
-    else:
-        results = [_simulate_replicate(*job) for job in jobs]
+    results = _run_jobs(_simulate_replicate, jobs, o["threads"])
 
     outputs = []
     for k, (timestamps, matrix, assets) in enumerate(results):
@@ -230,10 +246,6 @@ def cmd_simulate(args) -> None:
         write_returns(path, timestamps, matrix, assets)
         outputs.append(str(path))
     _write_manifest(out_dir, "simulate", o, [o["params"]], outputs, started)
-
-
-def _simulate_replicate_star(job):
-    return _simulate_replicate(*job)
 
 
 def _drop_holdout(matrix: np.ndarray, gaps: np.ndarray, holdout: int):
@@ -276,14 +288,10 @@ def _fit_one_mcmc(model: str, data_path: str, priors_payload: dict | None,
     return [str(chain_path), str(chain_path) + ".meta.json", str(summary_path)]
 
 
-def _fit_one_mcmc_star(job):
-    return _fit_one_mcmc(*job)
-
-
 def _priors_payload(path: str | None) -> dict | None:
     if not path:
         return None
-    payload = _load_json(path)
+    payload = read_json(path)
     return {key: tuple(val) if isinstance(val, list) else val
             for key, val in payload.items()}
 
@@ -306,12 +314,7 @@ def cmd_fit(args) -> None:
         config_kwargs = {field: o[name] for name, field in MCMC_SETTINGS.items()}
         jobs = [(model, path, priors_payload, config_kwargs, o["holdout"], o["seed"], k,
                  str(out_dir)) for k, path in enumerate(o["data"])]
-        if o["threads"] > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=o["threads"]) as pool:
-                produced = list(pool.map(_fit_one_mcmc_star, jobs))
-        else:
-            produced = [_fit_one_mcmc(*job) for job in jobs]
-        for group in produced:
+        for group in _run_jobs(_fit_one_mcmc, jobs, o["threads"]):
             outputs.extend(group)
     else:
         series = []
@@ -327,9 +330,7 @@ def cmd_fit(args) -> None:
                       "n_obs_fit": int(r.size), "data_file": str(data_path)}
             del report["params"]
             path = Path(out_dir) / f"{Path(data_path).stem}.fit.json"
-            with open(path, "w") as handle:
-                json.dump(report, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            write_json(path, report)
             outputs.append(str(path))
     _write_manifest(out_dir, "fit", o, list(o["data"]), outputs, started)
 
@@ -413,21 +414,6 @@ def cmd_forecast(args) -> None:
     _write_manifest(out_dir, "forecast", o, [o["chain"], o["data"]], [str(path)], started)
 
 
-def _read_forecast_file(path):
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        needed = {"model", "asset", "horizon", "r2_forecast", "absr_forecast",
-                  "vol_forecast"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: not a forecast file")
-        for row in reader:
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: no forecast rows")
-    return rows
-
-
 def cmd_compare(args) -> None:
     started = time.time()
     o = _options(args, ("forecasts", "data", "holdout", "out"))
@@ -442,11 +428,11 @@ def cmd_compare(args) -> None:
     targets = (("r2", "r2_forecast"), ("absr", "absr_forecast"), ("vol", "vol_forecast"))
     results = []
     for fpath in o["forecasts"]:
-        rows = _read_forecast_file(fpath)
+        rows = read_forecasts(fpath)
         model = rows[0]["model"]
         by_horizon: dict[int, list[dict]] = {}
         for row in rows:
-            by_horizon.setdefault(int(row["horizon"]), []).append(row)
+            by_horizon.setdefault(row["horizon"], []).append(row)
         for horizon in sorted(by_horizon):
             if horizon > holdout:
                 raise ValueError(
@@ -461,7 +447,7 @@ def cmd_compare(args) -> None:
                         raise ValueError(f"{fpath}: unknown asset {asset!r}")
                     r_real = realized[asset_index[asset], horizon - 1]
                     truth = r_real**2 if label == "r2" else abs(r_real)
-                    errors.append(abs(float(row[column]) - truth))
+                    errors.append(abs(row[column] - truth))
                 results.append([model, label, horizon, sum(errors) / len(errors)])
 
     path = out_dir / "mae.csv"
@@ -473,17 +459,16 @@ def cmd_compare(args) -> None:
     _write_manifest(out_dir, "compare", o, o["forecasts"] + [o["data"]], [str(path)], started)
 
 
-def cmd_replay(args) -> None:
-    with open(args.manifest) as handle:
-        manifest = json.load(handle)
-    argv = list(manifest["argv_resolved"])
+def cmd_replay(args) -> int:
+    """Re-run a manifest's command line; its exit code is the replay's."""
+    argv = read_json(args.manifest).get("argv_resolved")
+    if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
+        raise ValueError(f"{args.manifest}: argv_resolved is not a command line")
     if args.out is not None:
-        for i, piece in enumerate(argv):
+        for i, piece in enumerate(argv[:-1]):
             if piece == "--out":
                 argv[i + 1] = args.out
-    code = main(argv)
-    if code != EXIT_OK:
-        raise RuntimeError(f"replayed command exited with code {code}")
+    return main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,10 +548,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_VALIDATION
     try:
-        args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code = args.handler(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -576,7 +558,7 @@ def main(argv=None) -> int:
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_OK if code is None else code
 
 
 if __name__ == "__main__":

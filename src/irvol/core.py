@@ -137,26 +137,6 @@ class ScaledGaps:
         return self.gaps.size
 
 
-def compute_gaps(timestamps) -> np.ndarray:
-    """Gap times between consecutive observations.
-
-    Returns ``t[1:] - t[:-1]``; duplicate timestamps (zero gaps) and
-    out-of-order timestamps are rejected separately so callers can tell
-    the two data problems apart.
-    """
-    ts = _as_1d_floats(timestamps, "timestamps")
-    if ts.size < 2:
-        raise ValueError("need at least two timestamps to form gaps")
-    gaps = np.diff(ts)
-    if np.any(gaps == 0):
-        idx = int(np.argmax(gaps == 0))
-        raise ValueError(f"duplicate timestamp at index {idx + 1} gives a zero gap")
-    if np.any(gaps < 0):
-        idx = int(np.argmax(gaps < 0))
-        raise ValueError(f"timestamps must be strictly increasing (violated at index {idx + 1})")
-    return gaps
-
-
 def scale_gaps(gaps) -> ScaledGaps:
     """Divide gap times by their maximum so they lie in (0, 1].
 

@@ -1,4 +1,4 @@
-"""File formats: tick CSVs, synchronized returns, chain and summary files.
+"""File formats: tick CSVs, synchronized returns, chains, summaries, forecasts, JSON.
 
 All floats are serialized with ``repr``, the shortest decimal string that
 round-trips exactly, so read(write(x)) is bit-identical.  Tick timestamps
@@ -14,7 +14,7 @@ import re
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from irvol.mcmc.chain import McmcChain, McmcConfig, PosteriorSummary
 
 CHAIN_FORMAT_VERSION = 1
 TICK_HEADER = ["asset", "timestamp", "price"]
+# the forecast-file columns that ``compare`` reads
+FORECAST_COLUMNS = ("model", "asset", "horizon", "r2_forecast", "absr_forecast",
+                    "vol_forecast")
 
 
 def _fmt(value: float) -> str:
@@ -56,6 +59,64 @@ def _parse_timestamp(text: str) -> float:
     return moment.timestamp()
 
 
+def _read_csv(path, row_parser) -> Iterator:
+    """Yield a CSV file's header, then (line number, parsed row) for each data row.
+
+    ``row_parser(header)`` rejects a wrong header with a ``ValueError`` and
+    returns the function that parses one row's cells.  Blank rows are
+    skipped; every other row must be as wide as the header, and there must
+    be one.  Each error names the file, and the line for a row.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        try:
+            parse = row_parser(header)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        yield header
+        lineno = None
+        for cells in reader:
+            if not cells:
+                continue
+            lineno = reader.line_num
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"row width {len(cells)} does not match header "
+                                     f"width {len(header)}")
+                row = parse(cells)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            yield lineno, row
+    if lineno is None:
+        raise ValueError(f"{path}: no data rows")
+
+
+def _floats(cells) -> list[float]:
+    return [float(cell) for cell in cells]
+
+
+def _tick_row(cells) -> tuple[str, float, float]:
+    asset = cells[0].strip()
+    if not asset:
+        raise ValueError("empty asset id")
+    ts = _parse_timestamp(cells[1])
+    price = float(cells[2])
+    if not (abs(ts) < np.inf and abs(price) < np.inf):
+        raise ValueError("number is not finite")
+    if not price > 0:
+        raise ValueError("price must be positive")
+    return asset, ts, price
+
+
+def _tick_parser(header):
+    if [cell.strip() for cell in header] != TICK_HEADER:
+        raise ValueError("expected header 'asset,timestamp,price'")
+    return _tick_row
+
+
 def read_ticks(path) -> list[TickSeries]:
     """Read a tick CSV (header asset,timestamp,price) into per-asset series.
 
@@ -63,60 +124,21 @@ def read_ticks(path) -> list[TickSeries]:
     timestamp (stable); among duplicate (asset, timestamp) rows the last
     one in file order wins.
     """
-    path = Path(path)
+    rows = _read_csv(path, _tick_parser)
+    next(rows)
     groups: dict[str, list[tuple[float, float]]] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if [cell.strip() for cell in header] != TICK_HEADER:
-            raise ValueError(f"{path}: expected header 'asset,timestamp,price'")
-        n_rows = 0
-        for lineno, rowentry in enumerate(reader, start=2):
-            if not rowentry:
-                continue
-            if len(rowentry) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(rowentry)}")
-            asset = rowentry[0].strip()
-            if not asset:
-                raise ValueError(f"{path}: line {lineno}: empty asset id")
-            try:
-                ts = _parse_timestamp(rowentry[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                price = float(rowentry[2])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: unparseable price {rowentry[2]!r}") from None
-            if not (abs(ts) < np.inf and abs(price) < np.inf):
-                raise ValueError(f"{path}: line {lineno}: number is not finite")
-            if not price > 0:
-                raise ValueError(f"{path}: line {lineno}: price must be positive")
-            groups.setdefault(asset, []).append((ts, price))
-            n_rows += 1
-    if n_rows == 0:
-        raise ValueError(f"{path}: no data rows")
+    for _, (asset, ts, price) in rows:
+        groups.setdefault(asset, []).append((ts, price))
     out = []
-    for asset, rows in groups.items():
-        rows.sort(key=lambda pair: pair[0])  # stable: file order breaks ties
+    for asset, pairs in groups.items():
+        pairs.sort(key=lambda pair: pair[0])  # stable: file order breaks ties
         dedup: dict[float, float] = {}
-        for ts, price in rows:
+        for ts, price in pairs:
             dedup[ts] = price  # duplicate timestamps keep the last row
         ts_arr = np.array(list(dedup.keys()))
         px_arr = np.array(list(dedup.values()))
         out.append(TickSeries(asset, ts_arr, px_arr))
     return out
-
-
-def write_ticks(series: Sequence[TickSeries], path) -> None:
-    """Write tick series to CSV; the inverse of ``read_ticks``."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TICK_HEADER)
-        for one in series:
-            for ts, price in zip(one.timestamps, one.prices):
-                writer.writerow([one.asset_id, _fmt(ts), _fmt(price)])
 
 
 def write_returns(path, timestamps, returns, asset_ids: Sequence[str]) -> None:
@@ -144,6 +166,21 @@ def write_returns(path, timestamps, returns, asset_ids: Sequence[str]) -> None:
             writer.writerow([_fmt(ts[j]), gap_field] + [_fmt(v) for v in r[:, j]])
 
 
+def _returns_row(cells) -> tuple[float, float, list[float]]:
+    # the first row has no gap; an empty gap on a later row is nan and fails
+    # read_returns' finite check
+    return float(cells[0]), float(cells[1]) if cells[1] else np.nan, _floats(cells[2:])
+
+
+def _returns_parser(header):
+    if len(header) < 3 or header[0] != "timestamp" or header[1] != "gap":
+        raise ValueError("expected header 'timestamp,gap,r_<asset>,...'")
+    for cell in header[2:]:
+        if not cell.startswith("r_"):
+            raise ValueError(f"malformed return column {cell!r}")
+    return _returns_row
+
+
 def read_returns(path):
     """Read a synchronized-returns file.
 
@@ -151,48 +188,38 @@ def read_returns(path):
     Every number must be finite, and the gap column must agree with the
     timestamp differences to within ``TIME_TOL``.
     """
-    path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if len(header) < 3 or header[0] != "timestamp" or header[1] != "gap":
-            raise ValueError(f"{path}: expected header 'timestamp,gap,r_<asset>,...'")
-        assets = []
-        for cell in header[2:]:
-            if not cell.startswith("r_"):
-                raise ValueError(f"{path}: malformed return column {cell!r}")
-            assets.append(cell[2:])
-        ts_list: list[float] = []
-        gap_list: list[float] = []
-        rows: list[list[float]] = []
-        linenos: list[int] = []
-        for lineno, rowentry in enumerate(reader, start=2):
-            if not rowentry:
-                continue
-            if len(rowentry) != len(header):
-                raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields")
-            try:
-                if ts_list:  # the first data row has no gap
-                    gap_list.append(float(rowentry[1]))
-                ts_list.append(float(rowentry[0]))
-                rows.append([float(cell) for cell in rowentry[2:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: unparseable number") from None
-            linenos.append(lineno)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    ts = np.array(ts_list)
-    gaps = np.array(gap_list)
-    r = np.array(rows).T
+    rows = _read_csv(path, _returns_parser)
+    header = next(rows)
+    linenos, rows = zip(*rows)
+    ts = np.array([row[0] for row in rows])
+    gaps = np.array([row[1] for row in rows[1:]])
+    r = np.array([row[2] for row in rows]).T
     finite = np.isfinite(ts) & np.isfinite(r).all(axis=0)
     finite[1:] &= np.isfinite(gaps)
     if not finite.all():
         raise ValueError(f"{path}: line {linenos[int(np.argmin(finite))]}: number is not finite")
     if gaps.size and float(np.max(np.abs(gaps - np.diff(ts)))) > TIME_TOL:
         raise ValueError(f"{path}: gap column disagrees with timestamps")
-    return ts, gaps, r, assets
+    return ts, gaps, r, [cell[2:] for cell in header[2:]]
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as key-sorted, indented JSON ending in a newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def read_json(path) -> dict:
+    """Read a JSON file that holds one object; a malformed one names the file."""
+    with open(path) as handle:
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return payload
 
 
 def write_chain(chain: McmcChain, path, extra_meta: dict | None = None) -> None:
@@ -208,33 +235,16 @@ def write_chain(chain: McmcChain, path, extra_meta: dict | None = None) -> None:
         writer.writerow(chain.names)
         for row in chain.draws:
             writer.writerow([_fmt(v) for v in row])
-    meta = {
+    config = chain.config
+    write_json(chain_meta_path(path), {
         "format_version": CHAIN_FORMAT_VERSION,
         "names": list(chain.names),
         "n_draws": chain.n_draws,
         "acceptance_rates": {k: float(v) for k, v in chain.acceptance_rates.items()},
-        "config": None,
-        "seed": None,
-    }
-    if chain.config is not None:
-        meta["config"] = {
-            "n_iterations": chain.config.n_iterations,
-            "burn_in": chain.config.burn_in,
-            "thin": chain.config.thin,
-            "rng_seed": chain.config.rng_seed,
-            "target_accept_scalar": chain.config.target_accept_scalar,
-            "target_accept_block": chain.config.target_accept_block,
-            "adapt_interval": chain.config.adapt_interval,
-            "latent_stride": chain.config.latent_stride,
-            "store_latent": chain.config.store_latent,
-            "progress_every": chain.config.progress_every,
-        }
-        meta["seed"] = chain.config.rng_seed
-    if extra_meta:
-        meta.update(extra_meta)
-    with open(chain_meta_path(path), "w") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        "config": None if config is None else vars(config),
+        "seed": None if config is None else config.rng_seed,
+        **(extra_meta or {}),
+    })
 
 
 def chain_meta_path(path) -> Path:
@@ -246,79 +256,76 @@ def read_chain_meta(path) -> dict | None:
     meta_path = chain_meta_path(path)
     if not meta_path.exists():
         return None
-    with open(meta_path) as handle:
-        return json.load(handle)
+    return read_json(meta_path)
 
 
 def read_chain(path) -> McmcChain:
     """Read a chain CSV (and its sidecar when present) back into memory.
 
     A missing sidecar degrades gracefully: the chain loads with a warning
-    and no config.  A sidecar with an unknown format version, or a draw
-    row whose width disagrees with the header, is an error.
+    and no config.  A sidecar with an unknown format version or a config
+    ``McmcConfig`` rejects, or a draw row whose width disagrees with the
+    header, is an error.
     """
-    path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty chain file")
-        names = tuple(header)
-        rows = []
-        for lineno, rowentry in enumerate(reader, start=2):
-            if not rowentry:
-                continue
-            if len(rowentry) != len(names):
-                raise ValueError(
-                    f"{path}: line {lineno}: row width {len(rowentry)} does not match "
-                    f"header width {len(names)}"
-                )
-            rows.append([float(cell) for cell in rowentry])
-    draws = np.array(rows) if rows else np.empty((0, len(names)))
+    rows = _read_csv(path, lambda header: _floats)
+    names = tuple(next(rows))
+    draws = np.array([row for _, row in rows])
     meta = read_chain_meta(path)
     config = None
     rates: dict[str, float] = {}
     if meta is None:
         warnings.warn(f"{path}: metadata sidecar missing; config unavailable")
     else:
-        version = meta.get("format_version")
-        if version != CHAIN_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported chain format version {version!r}")
-        if meta.get("names") is not None and tuple(meta["names"]) != names:
-            raise ValueError(f"{path}: sidecar names disagree with the chain header")
-        rates = {k: float(v) for k, v in meta.get("acceptance_rates", {}).items()}
-        if meta.get("config"):
-            config = McmcConfig(**meta["config"])
+        try:
+            version = meta.get("format_version")
+            if version != CHAIN_FORMAT_VERSION:
+                raise ValueError(f"unsupported chain format version {version!r}")
+            if meta.get("names") is not None and tuple(meta["names"]) != names:
+                raise ValueError("sidecar names disagree with the chain header")
+            rates = {k: float(v) for k, v in meta.get("acceptance_rates", {}).items()}
+            if meta.get("config"):
+                config = McmcConfig(**meta["config"])
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{chain_meta_path(path)}: {exc}") from None
     return McmcChain(names, draws, rates, config)
 
 
-def write_summary(summary: PosteriorSummary, path,
-                  true_values: dict[str, float] | None = None) -> None:
+def write_summary(summary: PosteriorSummary, path) -> None:
     """Write a posterior-summary table with 4-decimal formatting.
 
-    One row per parameter with mean, sd, and the stored quantiles; when
-    ``true_values`` is given a true_value column is included (simulation
-    studies).  Parameter names must be ASCII.
+    One row per parameter with mean, sd, and the stored quantiles.
+    Parameter names must be ASCII.
     """
     names = summary.names
     for name in names:
         if not name.isascii():
             raise ValueError(f"parameter name {name!r} is not ASCII")
     probs = sorted(summary[names[0]].quantiles) if names else []
-    q_cols = [f"q{100 * q:g}" for q in probs]
-    header = ["parameter"]
-    if true_values is not None:
-        header.append("true_value")
-    header += ["mean", "sd"] + q_cols
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
+        writer.writerow(["parameter", "mean", "sd"] + [f"q{100 * q:g}" for q in probs])
         for name in names:
             stats = summary[name]
-            rowentry = [name]
-            if true_values is not None:
-                truth = true_values.get(name)
-                rowentry.append("" if truth is None else f"{truth:.4f}")
-            rowentry += [f"{stats.mean:.4f}", f"{stats.sd:.4f}"]
-            rowentry += [f"{stats.quantiles[q]:.4f}" for q in probs]
-            writer.writerow(rowentry)
+            writer.writerow([name, f"{stats.mean:.4f}", f"{stats.sd:.4f}"]
+                            + [f"{stats.quantiles[q]:.4f}" for q in probs])
+
+
+def _forecast_parser(header):
+    if not set(FORECAST_COLUMNS).issubset(header):
+        raise ValueError("not a forecast file")
+    index = [header.index(name) for name in FORECAST_COLUMNS]
+
+    def parse(cells) -> dict:
+        model, asset, horizon, *values = (cells[k] for k in index)
+        return {"model": model, "asset": asset, "horizon": int(horizon),
+                **dict(zip(FORECAST_COLUMNS[3:], _floats(values)))}
+
+    return parse
+
+
+def read_forecasts(path) -> list[dict]:
+    """Read a forecast file's rows: model, asset, integer horizon and the
+    three forecast columns as floats, by column name."""
+    rows = _read_csv(path, _forecast_parser)
+    next(rows)
+    return [row for _, row in rows]

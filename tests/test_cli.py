@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -495,6 +496,111 @@ class TestReplayAndConfig:
         assert run("replay", "--manifest", "run/manifest.json", "--out", "replayed") == 0
         assert ((tmp_path / "run" / output).read_bytes()
                 == (tmp_path / "replayed" / output).read_bytes())
+
+    @pytest.mark.parametrize("line, message", [
+        ("latent-stride = 7", "line 2: unknown key 'latent-stride'"),
+        ("latnet_stride = 7", "line 2: unknown key 'latnet_stride'"),
+        ("gap_mean = wide", "line 2: gap_mean: invalid float value 'wide'"),
+    ])
+    def test_bad_config_line_exits_2(self, tmp_path, capsys, sv_params, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 3\n{line}\n")
+        assert run("simulate", "--model", "irsv", "--params", sv_params, "--length", 20,
+                   "--config", cfg, "--out", tmp_path / "o") == 2
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+
+    def test_replay_returns_the_replayed_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                   pipeline):
+        shutil.copytree(pipeline, tmp_path / "run")
+        monkeypatch.chdir(tmp_path / "run")
+        Path("sim/rep000.csv").unlink()
+        assert run("replay", "--manifest", "fit/manifest.json", "--out", "again") == 1
+        assert "data file not found: sim/rep000.csv" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A directory with ticks, a config file, a simulated series and its fit
+    and forecast, every path relative to it."""
+    root = tmp_path_factory.mktemp("pipeline")
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        (root / "ticks.csv").write_text(TICKS)
+        (root / "run.cfg").write_text("seed = 3\n")
+        write_json(root / "sv.json", {"mu": -9.0, "phi": 0.2, "sigma_eta": 0.8})
+        assert run("simulate", "--model", "irsv", "--params", "sv.json", "--length", 100,
+                   "--seed", 12, "--out", "sim") == 0
+        assert run("fit", "--model", "irsv", "--data", "sim/rep000.csv", "--iters", 300,
+                   "--burnin", 100, "--thin", 4, "--holdout", 20, "--seed", 13,
+                   "--out", "fit") == 0
+        assert run(*FORECAST, "--out", "fc") == 0
+    finally:
+        os.chdir(cwd)
+    return root
+
+
+FORECAST = ("forecast", "--model", "irsv", "--chain", "fit/rep000.chain.csv",
+            "--data", "sim/rep000.csv", "--holdout", "20", "--horizons", "1,5")
+
+
+def _edit_line(lineno, edit):
+    def apply(text):
+        lines = text.splitlines()
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        return "\n".join(lines) + "\n"
+    return apply
+
+
+def _edit_sidecar_config(**changes):
+    def apply(text):
+        meta = json.loads(text)
+        meta["config"].update(changes)
+        return json.dumps(meta)
+    return apply
+
+
+# input kind: (the file made malformed, its edit, the command that reads it, the
+# line the error must name or None)
+MALFORMED = {
+    "ticks": ("ticks.csv", _edit_line(3, lambda line: "A,3.0,abc"),
+              ("refresh", "--ticks", "ticks.csv"), 3),
+    "returns": ("sim/rep000.csv", _edit_line(5, lambda line: line.rsplit(",", 1)[0]),
+                ("fit", "--model", "irgarch", "--data", "sim/rep000.csv"), 5),
+    "chain": ("fit/rep000.chain.csv", _edit_line(3, lambda line: "x" + line[line.index(","):]),
+              FORECAST, 3),
+    "sidecar-unknown-key": ("fit/rep000.chain.csv.meta.json", _edit_sidecar_config(bogus=3),
+                            FORECAST, None),
+    "sidecar-string-count": ("fit/rep000.chain.csv.meta.json",
+                             _edit_sidecar_config(n_iterations="10"), FORECAST, None),
+    "forecast-short-row": ("fc/forecast.csv", _edit_line(2, lambda line: line.rsplit(",", 1)[0]),
+                           ("compare", "--forecasts", "fc/forecast.csv", "--data",
+                            "sim/rep000.csv", "--holdout", "20"), 2),
+    "forecast-horizon": ("fc/forecast.csv", _edit_line(2, lambda line: line.replace(",1,", ",one,")),
+                         ("compare", "--forecasts", "fc/forecast.csv", "--data",
+                          "sim/rep000.csv", "--holdout", "20"), 2),
+    "config": ("run.cfg", lambda text: text + "latent-stride = 7\n",
+               ("simulate", "--model", "irsv", "--params", "sv.json", "--length", "20",
+                "--config", "run.cfg"), 2),
+    "manifest": ("fit/manifest.json", lambda text: text[: len(text) // 2],
+                 ("replay", "--manifest", "fit/manifest.json"), None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_input_exits_with_a_code_naming_the_file(tmp_path, capsys, monkeypatch,
+                                                           pipeline, kind):
+    name, edit, argv, line = MALFORMED[kind]
+    shutil.copytree(pipeline, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    path = Path(name)
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert run(*argv, "--out", "out") in (1, 2, 3)
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    if line is not None:
+        assert f"{name}: line {line}: " in err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

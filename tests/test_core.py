@@ -9,39 +9,11 @@ from irvol.core import (
     GapSeries,
     ScaledGaps,
     TickSeries,
-    compute_gaps,
     draw_positive_poisson,
     generate_gaps,
     log_returns,
     scale_gaps,
 )
-
-
-class TestComputeGaps:
-    def test_direct_differencing(self):
-        np.testing.assert_allclose(compute_gaps([1, 2, 4, 7]), [1, 2, 3])
-
-    def test_single_gap(self):
-        np.testing.assert_allclose(compute_gaps([0.0, 0.5]), [0.5])
-
-    def test_duplicate_timestamp_is_zero_gap_error(self):
-        with pytest.raises(ValueError, match="zero gap"):
-            compute_gaps([1, 1, 2])
-
-    def test_non_monotone_is_ordering_error(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            compute_gaps([1, 3, 2])
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            compute_gaps([1.0])
-
-    @given(st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_cumsum_reconstructs_timestamps(self, gaps):
-        ts = np.concatenate(([2.5], 2.5 + np.cumsum(gaps)))
-        rebuilt = ts[0] + np.concatenate(([0.0], np.cumsum(compute_gaps(ts))))
-        assert float(np.max(np.abs(rebuilt - ts))) <= 1e-9
 
 
 class TestScaleGaps:

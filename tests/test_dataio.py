@@ -13,7 +13,6 @@ from irvol.dataio import (
     write_chain,
     write_returns,
     write_summary,
-    write_ticks,
 )
 from irvol.mcmc import McmcChain, McmcConfig, summarize
 
@@ -85,9 +84,10 @@ class TestReadTicks:
             TickSeries("x", ts, np.exp(rng.normal(size=20))),
             TickSeries("y", ts + 0.05, np.exp(rng.normal(size=20))),
         ]
-        path = tmp_path / "ticks.csv"
-        write_ticks(original, path)
-        back = read_ticks(path)
+        rows = ["asset,timestamp,price"] + [
+            f"{one.asset_id},{ts!r},{price!r}"
+            for one in original for ts, price in zip(one.timestamps.tolist(), one.prices.tolist())]
+        back = read_ticks(_write(tmp_path / "ticks.csv", "\n".join(rows) + "\n"))
         for a, b in zip(original, back):
             assert a.asset_id == b.asset_id
             np.testing.assert_array_equal(a.timestamps, b.timestamps)
@@ -224,10 +224,10 @@ class TestWriteSummary:
         chain = McmcChain(("mu",), np.full((50, 1), -8.9997))
         summary = summarize(chain)
         path = tmp_path / "summary.csv"
-        write_summary(summary, path, true_values={"mu": -9.0})
+        write_summary(summary, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "parameter,true_value,mean,sd,q2.5,q97.5"
-        assert lines[1] == "mu,-9.0000,-8.9997,0.0000,-8.9997,-8.9997"
+        assert lines[0] == "parameter,mean,sd,q2.5,q97.5"
+        assert lines[1] == "mu,-8.9997,0.0000,-8.9997,-8.9997"
 
     def test_without_true_values(self, tmp_path):
         chain = McmcChain(("a", "b"), np.random.default_rng(3).normal(size=(40, 2)))
