@@ -7,8 +7,6 @@ asynchronous tick data, and a CLI (``irvol``) wiring it all together.
 """
 
 from irvol.core import (
-    GapSeries,
-    ScaledGaps,
     TickSeries,
     draw_positive_poisson,
     generate_gaps,

@@ -27,16 +27,16 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import MISSING, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 import irvol
-from irvol.core import GapSeries, draw_positive_poisson, generate_gaps, log_returns, scale_gaps
+from irvol.core import draw_positive_poisson, generate_gaps, scale_gaps
 from irvol.dataio import (
     read_chain,
-    read_chain_meta,
     read_forecasts,
     read_json,
     read_returns,
@@ -175,55 +175,70 @@ def _replicate_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed).spawn(index + 1)[index]
 
 
-def _sv_params_from_file(payload: dict) -> IrSvParams:
-    return IrSvParams(float(payload["mu"]), float(payload["phi"]),
-                      float(payload["sigma_eta"]))
+def _pair(value) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"expected a pair of numbers, not {value!r}")
+    return float(value[0]), float(value[1])
 
 
-def _msv_params_from_file(payload: dict) -> IrMsvParams:
-    corr = CorrelationMatrix(np.asarray(payload["correlation"], dtype=float))
-    return IrMsvParams(
-        mu=np.asarray(payload["mu"], dtype=float),
-        phi=np.asarray(payload["phi"], dtype=float),
-        sigma=np.asarray(payload["sigma"], dtype=float),
-        correlation=corr,
-    )
+def _vector(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
-def _garch_params_from_file(payload: dict, model: str) -> IrGarchParams:
-    beta = 0.0 if model == "irarch" else float(payload.get("beta1", 0.0))
-    return IrGarchParams(float(payload["omega"]), float(payload["alpha1"]), beta)
+def _prior_keys(cls) -> dict:
+    return {f.name: _pair if isinstance(f.default, tuple) else float for f in fields(cls)}
 
 
-def _simulate_replicate(model: str, params_payload: dict, length: int,
-                        gap_mean: float, master_seed: int, index: int):
+# The record a --params and a --priors file hold for each model: the type
+# it builds and how each of its keys is read.
+PARAMS = {
+    "irsv": (IrSvParams, dict.fromkeys(("mu", "phi", "sigma_eta"), float)),
+    "irmsv": (IrMsvParams, {"mu": _vector, "phi": _vector, "sigma": _vector,
+                            "correlation": lambda value: CorrelationMatrix(_vector(value))}),
+    **dict.fromkeys(ML_MODELS, (IrGarchParams, dict.fromkeys(("omega", "alpha1", "beta1"),
+                                                             float))),
+}
+PRIORS = {"irsv": (IrSvPriors, _prior_keys(IrSvPriors)),
+          "irmsv": (IrMsvPriors, _prior_keys(IrMsvPriors))}
+
+
+def _json_record(path: str, cls, keys: dict):
+    """``cls`` built from the JSON object in ``path``, each value read by ``keys``.
+
+    Every key must be one of ``keys``, and every field of ``cls`` without
+    a default must be given.  A fault is a ValueError naming the file, and
+    the key where there is one.
+    """
+    values = {}
+    for key, value in read_json(path).items():
+        if key not in keys:
+            raise ValueError(f"{path}: {key}: unknown key")
+        try:
+            values[key] = keys[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
+    for field in fields(cls):
+        if field.name not in values and field.default is MISSING:
+            raise ValueError(f"{path}: {field.name}: missing")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _simulate_replicate(model: str, params, length: int, gap_mean: float,
+                        master_seed: int, index: int):
     """One simulation replicate; returns (timestamps, returns matrix, asset ids)."""
     rng = np.random.default_rng(_replicate_seed(master_seed, index))
-    if model == "irsv":
-        params = _sv_params_from_file(params_payload)
-        gaps = generate_gaps(length - 1, gap_mean, rng) if length > 1 else None
-        gap_arr = gaps.gaps if gaps is not None else np.empty(0)
-        _, r = simulate_irsv(params, gap_arr, length, rng)
-        matrix = r[np.newaxis, :]
-        assets = ["s1"]
-    elif model == "irmsv":
-        params = _msv_params_from_file(params_payload)
-        gaps = generate_gaps(length - 1, gap_mean, rng) if length > 1 else None
-        gap_arr = gaps.gaps if gaps is not None else np.empty(0)
-        _, matrix = simulate_irmsv(params, gap_arr, length, rng)
-        assets = [f"s{i + 1}" for i in range(params.n_assets)]
-    elif model in ML_MODELS:
-        params = _garch_params_from_file(params_payload, model)
-        # gap-time GARCH works in observed time units, not rescaled ones
-        gap_arr = (draw_positive_poisson(length - 1, gap_mean, rng)
-                   if length > 1 else np.empty(0))
-        _, r = simulate_irgarch(params, gap_arr, length, rng)
-        matrix = r[np.newaxis, :]
-        assets = ["s1"]
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    timestamps = np.concatenate(([0.0], np.cumsum(gap_arr)))
-    return timestamps, matrix, assets
+    # gap-time GARCH works in observed time units, the SV models in gaps
+    # rescaled into (0, 1]
+    draw_gaps = draw_positive_poisson if model in ML_MODELS else generate_gaps
+    gaps = draw_gaps(length - 1, gap_mean, rng) if length > 1 else np.empty(0)
+    simulate = {"irsv": simulate_irsv, "irmsv": simulate_irmsv}.get(model, simulate_irgarch)
+    _, r = simulate(params, gaps, length, rng)
+    matrix = np.atleast_2d(r)
+    timestamps = np.concatenate(([0.0], np.cumsum(gaps)))
+    return timestamps, matrix, [f"s{i + 1}" for i in range(matrix.shape[0])]
 
 
 def cmd_simulate(args) -> None:
@@ -235,8 +250,10 @@ def cmd_simulate(args) -> None:
     if o["replicates"] < 1:
         raise ValueError("--replicates must be at least 1")
     out_dir = _out_dir(o["out"])
-    payload = read_json(o["params"])
-    jobs = [(o["model"], payload, o["length"], o["gap_mean"], o["seed"], k)
+    params = _json_record(o["params"], *PARAMS[o["model"]])
+    if o["model"] == "irarch":
+        params = replace(params, beta1=0.0)
+    jobs = [(o["model"], params, o["length"], o["gap_mean"], o["seed"], k)
             for k in range(o["replicates"])]
     results = _run_jobs(_simulate_replicate, jobs, o["threads"])
 
@@ -260,40 +277,24 @@ def _drop_holdout(matrix: np.ndarray, gaps: np.ndarray, holdout: int):
     return matrix, gaps
 
 
-def _fit_one_mcmc(model: str, data_path: str, priors_payload: dict | None,
-                  config_kwargs: dict, holdout: int, master_seed: int, index: int,
-                  out_dir: str) -> list[str]:
+def _fit_one_mcmc(model: str, data_path: str, priors, config_kwargs: dict, holdout: int,
+                  master_seed: int, index: int, out_dir: str) -> list[str]:
     timestamps, gaps, matrix, assets = read_returns(data_path)
     matrix, gaps = _drop_holdout(matrix, gaps, holdout)
     seed = int(_replicate_seed(master_seed, index).generate_state(1)[0] % 2**31)
     config = McmcConfig(rng_seed=seed, **config_kwargs)
-    scaled = scale_gaps(gaps)
+    gaps, scale_factor = scale_gaps(gaps)
     stem = Path(data_path).stem
     chain_path = Path(out_dir) / f"{stem}.chain.csv"
     summary_path = Path(out_dir) / f"{stem}.summary.csv"
-    extra = {"model": model, "gap_scale_factor": scaled.scale_factor,
+    extra = {"model": model, "gap_scale_factor": scale_factor,
              "n_obs_fit": matrix.shape[1], "asset_ids": assets,
              "data_file": str(data_path)}
-    if model == "irsv":
-        if matrix.shape[0] != 1:
-            raise ValueError("irsv expects exactly one return column")
-        priors = IrSvPriors(**priors_payload) if priors_payload else IrSvPriors()
-        series = GapSeries.from_gaps(matrix[0], scaled.gaps)
-        chain, summary = fit_irsv(series, priors, config)
-    else:
-        priors = IrMsvPriors(**priors_payload) if priors_payload else IrMsvPriors()
-        chain, summary = fit_irmsv(matrix, scaled.gaps, priors, config)
+    fit = fit_irsv if model == "irsv" else fit_irmsv
+    chain, summary = fit(matrix, gaps, priors, config)
     write_chain(chain, chain_path, extra_meta=extra)
     write_summary(summary, summary_path)
     return [str(chain_path), str(chain_path) + ".meta.json", str(summary_path)]
-
-
-def _priors_payload(path: str | None) -> dict | None:
-    if not path:
-        return None
-    payload = read_json(path)
-    return {key: tuple(val) if isinstance(val, list) else val
-            for key, val in payload.items()}
 
 
 def cmd_fit(args) -> None:
@@ -310,9 +311,9 @@ def cmd_fit(args) -> None:
             raise FileNotFoundError(f"data file not found: {data_path}")
 
     if mcmc:
-        priors_payload = _priors_payload(o["priors"])
+        priors = _json_record(o["priors"], *PRIORS[model]) if o["priors"] else None
         config_kwargs = {field: o[name] for name, field in MCMC_SETTINGS.items()}
-        jobs = [(model, path, priors_payload, config_kwargs, o["holdout"], o["seed"], k,
+        jobs = [(model, path, priors, config_kwargs, o["holdout"], o["seed"], k,
                  str(out_dir)) for k, path in enumerate(o["data"])]
         for group in _run_jobs(_fit_one_mcmc, jobs, o["threads"]):
             outputs.extend(group)
@@ -373,11 +374,6 @@ def cmd_forecast(args) -> None:
     horizons = _parse_horizons(o["horizons"])
     out_dir = _out_dir(o["out"])
 
-    chain = read_chain(o["chain"])
-    meta = read_chain_meta(o["chain"]) or {}
-    if meta.get("model") not in (None, model):
-        raise ValueError(f"chain was fit as {meta.get('model')!r}, not {model!r}")
-    scale_factor = float(meta.get("gap_scale_factor", 1.0))
     timestamps, gaps, matrix, assets = read_returns(o["data"])
     n = matrix.shape[1]
     if not (0 < holdout < n):
@@ -385,12 +381,8 @@ def cmd_forecast(args) -> None:
     if max(horizons) > holdout:
         raise ValueError("every horizon must fit inside the holdout window")
     n_fit = n - holdout
-    if meta.get("n_obs_fit") not in (None, n_fit):
-        raise ValueError(
-            f"chain was fit on {meta.get('n_obs_fit')} observations but the data "
-            f"file implies {n_fit}; pass the data file the fit used"
-        )
-    future_gaps = gaps[n_fit - 1:] / scale_factor
+    chain, meta = read_chain(o["chain"], model=model, n_obs_fit=n_fit)
+    future_gaps = gaps[n_fit - 1:] / meta.get("gap_scale_factor", 1.0)
 
     groups = asset_draws(chain)
     if len(groups) != len(assets):

@@ -4,7 +4,8 @@ An irregularly spaced series is a set of observations at strictly
 increasing times t_1 < ... < t_T.  The gap times g_j = t_j - t_{j-1}
 (j >= 2) drive every model in this package: persistence parameters get
 raised to the power g_j, so gap times are usually rescaled into (0, 1]
-to keep those powers bounded away from zero.
+to keep those powers bounded away from zero.  A gap sequence is a plain
+float array throughout, and ``gap_values`` is the one check of it.
 """
 
 from __future__ import annotations
@@ -60,98 +61,40 @@ class TickSeries:
         return self.timestamps.size
 
 
-@dataclass(frozen=True)
-class GapSeries:
-    """One irregularly spaced series: observation times, values, gap times.
+def gap_values(gaps, count: int | None = None, max_one: bool = False) -> np.ndarray:
+    """The one check of a gap sequence: a read-only one-dimensional array of
+    positive, finite floats.
 
-    ``gaps[j-1]`` is the time elapsed between observations j and j+1
-    (zero-based), i.e. there are ``len(values) - 1`` gaps.  When ``gaps``
-    is omitted it is derived from the timestamps; when supplied it must be
-    consistent with them to within ``TIME_TOL``.
+    With ``count`` the first ``count`` entries are returned (erroring when
+    fewer are available); ``max_one`` additionally requires gaps in (0, 1],
+    as the stochastic volatility models take them.
     """
-
-    timestamps: np.ndarray
-    values: np.ndarray
-    gaps: np.ndarray | None = None
-
-    def __post_init__(self):
-        ts = _as_1d_floats(self.timestamps, "timestamps")
-        vals = _as_1d_floats(self.values, "values")
-        if ts.size != vals.size:
-            raise ValueError("timestamps and values must have equal length")
-        if ts.size < 1:
-            raise ValueError("a gap series needs at least one observation")
-        derived = np.diff(ts)
-        if np.any(derived <= 0):
-            raise ValueError("timestamps must be strictly increasing")
-        if self.gaps is None:
-            gaps = derived
-        else:
-            gaps = _as_1d_floats(self.gaps, "gaps")
-            if gaps.size != ts.size - 1:
-                raise ValueError("need exactly one gap per consecutive pair")
-            if np.any(gaps <= 0):
-                raise ValueError("gap times must be positive")
-            if gaps.size and float(np.max(np.abs(gaps - derived))) > TIME_TOL:
-                raise ValueError("gaps are inconsistent with timestamps")
-        gaps = gaps.copy()
-        gaps.setflags(write=False)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "gaps", gaps)
-
-    @classmethod
-    def from_gaps(cls, values, gaps, start_time: float = 0.0) -> "GapSeries":
-        """Build a series from values and gap times, synthesizing timestamps."""
-        g = _as_1d_floats(gaps, "gaps")
-        ts = start_time + np.concatenate(([0.0], np.cumsum(g)))
-        return cls(ts, values, g)
-
-    def __len__(self) -> int:
-        return self.values.size
+    g = _as_1d_floats(gaps, "gaps")
+    if np.any(g <= 0):
+        raise ValueError("gap times must be positive")
+    if max_one and np.any(g > 1.0):
+        raise ValueError("gaps must be scaled into (0, 1]; rescale them first")
+    if count is not None:
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        if g.size < count:
+            raise ValueError(f"need {count} gap values but only {g.size} are available")
+        g = g[:count]
+    return g
 
 
-@dataclass(frozen=True)
-class ScaledGaps:
-    """Gap times rescaled into (0, 1], with the divisor retained.
-
-    ``scale_factor`` is the divisor that was applied, so
-    ``gaps * scale_factor`` recovers the original time units.
-    """
-
-    gaps: np.ndarray
-    scale_factor: float
-
-    def __post_init__(self):
-        g = _as_1d_floats(self.gaps, "gaps")
-        if g.size == 0:
-            raise ValueError("scaled gaps cannot be empty")
-        if np.any(g <= 0) or np.any(g > 1.0):
-            raise ValueError("scaled gaps must lie in (0, 1]")
-        if not np.isfinite(self.scale_factor) or self.scale_factor <= 0:
-            raise ValueError("scale_factor must be a positive real")
-        object.__setattr__(self, "gaps", g)
-        object.__setattr__(self, "scale_factor", float(self.scale_factor))
-
-    def __len__(self) -> int:
-        return self.gaps.size
-
-
-def scale_gaps(gaps) -> ScaledGaps:
+def scale_gaps(gaps) -> tuple[np.ndarray, float]:
     """Divide gap times by their maximum so they lie in (0, 1].
 
-    Idempotent: gaps whose maximum is already 1 come back unchanged with a
-    scale factor of 1.
+    Returns the scaled gaps and the divisor, so ``gaps * factor`` recovers
+    the original time units.  Idempotent: gaps whose maximum is already 1
+    come back unchanged with a factor of 1.
     """
-    g = np.asarray(gaps, dtype=float)
-    if g.ndim != 1:
-        raise ValueError("gaps must be one-dimensional")
+    g = gap_values(gaps)
     if g.size == 0:
         raise ValueError("cannot scale an empty gap sequence")
-    if not np.all(np.isfinite(g)) or np.any(g <= 0):
-        raise ValueError("gap times must be positive and finite")
     m = float(np.max(g))
-    return ScaledGaps(g / m, m)
+    return g / m, m
 
 
 def log_returns(prices) -> np.ndarray:
@@ -201,29 +144,6 @@ def draw_positive_poisson(count: int, mean: float = 3.0, seed=None) -> np.ndarra
     return out
 
 
-def generate_gaps(count: int, mean: float = 3.0, seed=None) -> ScaledGaps:
+def generate_gaps(count: int, mean: float = 3.0, seed=None) -> np.ndarray:
     """Draw zero-truncated Poisson gap times and rescale them into (0, 1]."""
-    return scale_gaps(draw_positive_poisson(count, mean, seed))
-
-
-def gap_values(gaps, count: int | None = None, max_one: bool = False) -> np.ndarray:
-    """Coerce ``ScaledGaps`` or an array-like into a validated gap array.
-
-    With ``count`` the first ``count`` entries are returned (erroring when
-    fewer are available); ``max_one`` additionally requires gaps in (0, 1].
-    """
-    if isinstance(gaps, ScaledGaps):
-        g = gaps.gaps
-    else:
-        g = _as_1d_floats(gaps, "gaps")
-        if np.any(g <= 0):
-            raise ValueError("gap times must be positive")
-    if max_one and np.any(g > 1.0):
-        raise ValueError("gaps must lie in (0, 1]; rescale them first")
-    if count is not None:
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        if g.size < count:
-            raise ValueError(f"need {count} gap values but only {g.size} are available")
-        g = g[:count]
-    return g
+    return scale_gaps(draw_positive_poisson(count, mean, seed))[0]

@@ -251,31 +251,27 @@ def chain_meta_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def read_chain_meta(path) -> dict | None:
-    """Load the sidecar metadata for a chain file, or None if absent."""
-    meta_path = chain_meta_path(path)
-    if not meta_path.exists():
-        return None
-    return read_json(meta_path)
+def read_chain(path, **expect) -> tuple[McmcChain, dict]:
+    """Read a chain CSV back into memory, with the entries of its sidecar.
 
-
-def read_chain(path) -> McmcChain:
-    """Read a chain CSV (and its sidecar when present) back into memory.
-
-    A missing sidecar degrades gracefully: the chain loads with a warning
-    and no config.  A sidecar with an unknown format version or a config
-    ``McmcConfig`` rejects, or a draw row whose width disagrees with the
-    header, is an error.
+    A missing sidecar degrades gracefully: the chain loads with a warning,
+    no config and no entries.  Each error names the file it is in: a draw
+    row whose width disagrees with the header, or a sidecar with an
+    unknown format version, a config ``McmcConfig`` rejects, a
+    ``gap_scale_factor`` that is not a positive number, or an entry that
+    differs from its value in ``expect``.
     """
     rows = _read_csv(path, lambda header: _floats)
     names = tuple(next(rows))
     draws = np.array([row for _, row in rows])
-    meta = read_chain_meta(path)
+    meta_path = chain_meta_path(path)
+    meta: dict = {}
     config = None
     rates: dict[str, float] = {}
-    if meta is None:
+    if not meta_path.exists():
         warnings.warn(f"{path}: metadata sidecar missing; config unavailable")
     else:
+        meta = read_json(meta_path)
         try:
             version = meta.get("format_version")
             if version != CHAIN_FORMAT_VERSION:
@@ -285,9 +281,16 @@ def read_chain(path) -> McmcChain:
             rates = {k: float(v) for k, v in meta.get("acceptance_rates", {}).items()}
             if meta.get("config"):
                 config = McmcConfig(**meta["config"])
+            factor = meta.get("gap_scale_factor", 1.0)
+            if type(factor) not in (int, float) or not 0.0 < factor < np.inf:
+                raise ValueError(f"gap_scale_factor: {factor!r} is not a positive number")
+            for key, wanted in expect.items():
+                if meta.get(key) not in (None, wanted):
+                    raise ValueError(f"{key}: the chain was fit with {meta[key]!r}, "
+                                     f"but this run has {wanted!r}")
         except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{chain_meta_path(path)}: {exc}") from None
-    return McmcChain(names, draws, rates, config)
+            raise ValueError(f"{meta_path}: {exc}") from None
+    return McmcChain(names, draws, rates, config), meta
 
 
 def write_summary(summary: PosteriorSummary, path) -> None:

@@ -28,9 +28,10 @@ accepted phi.  One chain is a strictly sequential sweep per iteration:
 
 Proposal scales adapt toward fixed acceptance targets during burn-in and
 are frozen afterwards.  Chains are bit-reproducible for a fixed seed.
-``fit_irsv`` and ``fit_irmsv`` validate their inputs, run the engine and
-name its columns; ``asset_draws`` reads each asset's parameters and last
-stored latent state back out of a chain of either model.
+``fit_irsv`` and ``fit_irmsv`` take the same (returns, gaps), check them
+in one place, run the engine and name its columns; ``asset_draws`` reads
+each asset's parameters and last stored latent state back out of a chain
+of either model.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from irvol.core import GapSeries, squared_returns
+from irvol.core import gap_values, squared_returns
 from irvol.irmsv import correlation_names, lower_entries
 from irvol.irsv import gap_law
 from irvol.mcmc.chain import McmcChain, McmcConfig, PosteriorSummary, summarize
@@ -381,22 +382,38 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
     return _Run(draws, sites, rates)
 
 
-def fit_irsv(series: GapSeries, priors: IrSvPriors | None = None,
+def _fit_data(returns, gaps, multivariate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The (p, T) return matrix and T - 1 scaled gaps of a fit, checked.
+
+    ``fit_irsv`` takes one series, (T,) or (1, T); ``fit_irmsv`` p >= 2.
+    """
+    r = np.atleast_2d(np.asarray(returns, dtype=float))
+    if r.ndim != 2 or not (r.shape[0] >= 2 if multivariate else r.shape[0] == 1):
+        raise ValueError("returns must be a (p >= 2, T) matrix" if multivariate
+                         else "returns must be one series: a (T,) or (1, T) array")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("returns must contain only finite values")
+    if r.shape[1] < 10:
+        raise ValueError("need at least 10 observations to fit")
+    g = gap_values(gaps, max_one=True)
+    if g.size != r.shape[1] - 1:
+        raise ValueError("need exactly T - 1 gap times")
+    return r, g
+
+
+def fit_irsv(returns, gaps, priors: IrSvPriors | None = None,
              config: McmcConfig | None = None) -> tuple[McmcChain, PosteriorSummary]:
     """Sample the joint posterior of (h, mu, phi, sigma_eta) for one series.
 
-    ``series.gaps`` must already be scaled into (0, 1].  The chain stores
-    mu, phi, sigma_eta, and a strided subset of latent sites (always
-    including the final one, which forecasting needs).
+    ``returns`` is one series of T returns, (T,) or (1, T), and ``gaps``
+    its T - 1 gap times, scaled into (0, 1].  The chain stores mu, phi,
+    sigma_eta, and a strided subset of latent sites (always including the
+    final one, which forecasting needs).
     """
     priors = priors or IrSvPriors()
     config = config or DEFAULT_CONFIG
-    r = series.values
-    if r.size < 10:
-        raise ValueError("need at least 10 observations to fit")
-    if float(np.max(series.gaps)) > 1.0:
-        raise ValueError("gaps must be scaled into (0, 1] before fitting")
-    run = _sample(r[np.newaxis, :], series.gaps, _irsv_walk(priors), priors, config)
+    r, g = _fit_data(returns, gaps, multivariate=False)
+    run = _sample(r, g, _irsv_walk(priors), priors, config)
     draws = run.draws
     draws[:, 2] = np.sqrt(draws[:, 2])
     names = ["mu", "phi", "sigma_eta"]
@@ -418,17 +435,8 @@ def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
     """
     priors = priors or IrMsvPriors()
     config = config or DEFAULT_CONFIG
-    r = np.asarray(returns, dtype=float)
-    if r.ndim != 2 or r.shape[0] < 2:
-        raise ValueError("returns must be a (p >= 2, T) matrix")
-    p, length = r.shape
-    if length < 10:
-        raise ValueError("need at least 10 observations to fit")
-    g = np.asarray(gaps, dtype=float)
-    if g.shape != (length - 1,):
-        raise ValueError("need exactly T - 1 shared gap times")
-    if np.any(g <= 0) or float(np.max(g)) > 1.0:
-        raise ValueError("gaps must be scaled into (0, 1] before fitting")
+    r, g = _fit_data(returns, gaps, multivariate=True)
+    p = r.shape[0]
     run = _sample(r, g, _irmsv_walk(priors), priors, config)
     assets = range(1, p + 1)
     names = ([f"mu_{i}" for i in assets] + [f"phi_{i}" for i in assets]

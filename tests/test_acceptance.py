@@ -14,7 +14,7 @@ import pytest
 
 from irvol import moments
 from irvol.cli import main as cli_main
-from irvol.core import GapSeries, ScaledGaps, draw_positive_poisson, generate_gaps
+from irvol.core import draw_positive_poisson, generate_gaps
 from irvol.irgarch import IrGarchParams, fit_ml, simulate_irgarch
 from irvol.irmsv import CorrelationMatrix, IrMsvParams, simulate_irmsv
 from irvol.irsv import IrSvParams, simulate_irsv
@@ -59,7 +59,7 @@ def test_criterion_1_moment_oracles(scenario, phi):
     # alternating gaps 0.4/0.6: indices j and j+2 are exactly gap-time 1
     # apart and j and j+4 exactly 2 apart, so Eq.-(10)-style lags are exact
     pattern = np.tile([0.4, 0.6], (n + 4) // 2 + 1)[: n + 3]
-    gaps = ScaledGaps(pattern, 1.0)
+    gaps = pattern
     seed = np.random.SeedSequence(42).spawn(3)[scenario - 1]
     _, r = simulate_irsv(params, gaps, n + 4, seed=seed)
     r2_full = r * r
@@ -120,10 +120,9 @@ def test_criterion_2_irsv_posterior_recovery(seed_base, phi):
         s_gaps, s_sim, s_fit = np.random.SeedSequence(seed_base + rep).spawn(3)
         gaps = generate_gaps(1999, 3.0, seed=s_gaps)
         _, r = simulate_irsv(params, gaps, 2000, seed=s_sim)
-        series = GapSeries.from_gaps(r, gaps.gaps)
         config = McmcConfig(n_iterations=20_000, burn_in=5_000, thin=10,
                             rng_seed=int(s_fit.generate_state(1)[0] % 2**31))
-        _, summary = fit_irsv(series, config=config)
+        _, summary = fit_irsv(r, gaps, config=config)
         for name, value in truth.items():
             stats = summary[name]
             hits[name] += stats.quantiles[0.025] <= value <= stats.quantiles[0.975]
@@ -158,7 +157,7 @@ def test_criterion_3_irmsv_posterior_recovery():
         _, r = simulate_irmsv(params, gaps, 1500, seed=s_sim)
         config = McmcConfig(n_iterations=15_000, burn_in=5_000, thin=10,
                             rng_seed=int(s_fit.generate_state(1)[0] % 2**31))
-        _, summary = fit_irmsv(r, gaps.gaps, config=config)
+        _, summary = fit_irmsv(r, gaps, config=config)
         contained = 0
         for name, value in rho_truth.items():
             stats = summary[name]
@@ -453,7 +452,7 @@ def _reference_regular_sv_fit(r, n_iter, burn_in, thin, seed):
 def test_criterion_9_unit_gap_collapse():
     size = 400
     params = IrSvParams(-9.0, 0.6, 0.8)
-    gaps = ScaledGaps(np.ones(size - 1), 1.0)
+    gaps = np.ones(size - 1)
     h, r = simulate_irsv(params, gaps, size, seed=901)
 
     # bit-level simulation agreement under a shared seed
@@ -470,9 +469,8 @@ def test_criterion_9_unit_gap_collapse():
     bit_ok = np.array_equal(h, h_ref) and np.array_equal(r, r_ref)
 
     # posterior agreement between the two independently coded samplers
-    series = GapSeries.from_gaps(r, gaps.gaps)
     config = McmcConfig(n_iterations=16_000, burn_in=4_000, thin=6, rng_seed=902)
-    chain, _ = fit_irsv(series, config=config)
+    chain, _ = fit_irsv(r, gaps, config=config)
     reference = _reference_regular_sv_fit(r, 16_000, 4_000, 6, seed=903)
     gaps_report = []
     fit_ok = True

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from irvol import cli
 from irvol.cli import main
 from irvol.dataio import read_returns
 
@@ -529,6 +531,7 @@ def pipeline(tmp_path_factory):
         (root / "ticks.csv").write_text(TICKS)
         (root / "run.cfg").write_text("seed = 3\n")
         write_json(root / "sv.json", {"mu": -9.0, "phi": 0.2, "sigma_eta": 0.8})
+        write_json(root / "priors.json", {"phi_beta": [20, 1.5]})
         assert run("simulate", "--model", "irsv", "--params", "sv.json", "--length", 100,
                    "--seed", 12, "--out", "sim") == 0
         assert run("fit", "--model", "irsv", "--data", "sim/rep000.csv", "--iters", 300,
@@ -542,6 +545,9 @@ def pipeline(tmp_path_factory):
 
 FORECAST = ("forecast", "--model", "irsv", "--chain", "fit/rep000.chain.csv",
             "--data", "sim/rep000.csv", "--holdout", "20", "--horizons", "1,5")
+SIMULATE = ("simulate", "--model", "irsv", "--params", "sv.json", "--length", "20")
+FIT_WITH_PRIORS = ("fit", "--model", "irsv", "--data", "sim/rep000.csv", "--priors",
+                   "priors.json", "--iters", "20", "--burnin", "10", "--holdout", "20")
 
 
 def _edit_line(lineno, edit):
@@ -552,16 +558,20 @@ def _edit_line(lineno, edit):
     return apply
 
 
-def _edit_sidecar_config(**changes):
+def _edit_json(edit):
     def apply(text):
-        meta = json.loads(text)
-        meta["config"].update(changes)
-        return json.dumps(meta)
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload)
     return apply
 
 
+def _edit_sidecar_config(**changes):
+    return _edit_json(lambda meta: meta["config"].update(changes))
+
+
 # input kind: (the file made malformed, its edit, the command that reads it, the
-# line the error must name or None)
+# line the error must name, the key of a JSON record it must name, or None)
 MALFORMED = {
     "ticks": ("ticks.csv", _edit_line(3, lambda line: "A,3.0,abc"),
               ("refresh", "--ticks", "ticks.csv"), 3),
@@ -584,23 +594,37 @@ MALFORMED = {
                 "--config", "run.cfg"), 2),
     "manifest": ("fit/manifest.json", lambda text: text[: len(text) // 2],
                  ("replay", "--manifest", "fit/manifest.json"), None),
+    "params-null": ("sv.json", _edit_json(lambda params: params.update(mu=None)), SIMULATE,
+                    "mu"),
+    "params-missing-key": ("sv.json", _edit_json(lambda params: params.pop("mu")), SIMULATE,
+                           "mu"),
+    "priors-unknown-key": ("priors.json", _edit_json(lambda priors: priors.update(bogus=1)),
+                           FIT_WITH_PRIORS, "bogus"),
+    "priors-scalar-pair": ("priors.json", _edit_json(lambda priors: priors.update(phi_beta=3)),
+                           FIT_WITH_PRIORS, "phi_beta"),
+    "sidecar-scale-factor": ("fit/rep000.chain.csv.meta.json",
+                             _edit_json(lambda meta: meta.update(gap_scale_factor="abc")),
+                             FORECAST, "gap_scale_factor"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED))
 def test_malformed_input_exits_with_a_code_naming_the_file(tmp_path, capsys, monkeypatch,
                                                            pipeline, kind):
-    name, edit, argv, line = MALFORMED[kind]
+    name, edit, argv, where = MALFORMED[kind]
     shutil.copytree(pipeline, tmp_path / "run")
     monkeypatch.chdir(tmp_path / "run")
     path = Path(name)
     path.write_text(edit(path.read_text()))
     capsys.readouterr()
-    assert run(*argv, "--out", "out") in (1, 2, 3)
+    code = run(*argv, "--out", "out")
+    assert code in (1, 2, 3)
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
-    if line is not None:
-        assert f"{name}: line {line}: " in err
+    if isinstance(where, int):
+        assert f"{name}: line {where}: " in err
+    elif where is not None:
+        assert code == 2 and f"{name}: {where}: " in err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -608,3 +632,34 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, irvol.cli; assert 'scipy.optimize' not in sys.modules, 'loaded'"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_fit_hands_fit_irsv_one_row_of_t_sites(tmp_path, monkeypatch, pipeline):
+    seen = []
+    fit_irsv = cli.fit_irsv
+
+    def spy(returns, gaps, *args):
+        seen.append((returns.shape, gaps.shape))
+        return fit_irsv(returns, gaps, *args)
+
+    monkeypatch.setattr(cli, "fit_irsv", spy)
+    assert run("fit", "--model", "irsv", "--data", pipeline / "sim" / "rep000.csv",
+               "--iters", 20, "--burnin", 10, "--holdout", 20, "--out", tmp_path) == 0
+    assert seen == [((1, 80), (79,))]
+
+
+# Every name the benchmark's tracer wraps, by the module it rebinds it in: a
+# name missing here would make the traced runs record nothing for it.
+TRACE_POINTS = {
+    "irvol.cli": ("cmd_simulate", "cmd_refresh", "cmd_fit", "cmd_forecast", "cmd_compare",
+                  "read_ticks", "read_returns", "write_returns", "read_chain", "write_chain",
+                  "refresh_sample", "fit_irsv", "fit_irmsv", "fit_ml", "simulate_irgarch"),
+    "irvol.mcmc.fit": ("adaptive_rwm_scalar", "correlation_block_step", "summarize"),
+    "irvol.irgarch": ("minimize",),
+}
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in TRACE_POINTS.items()
+                                          for name in names])
+def test_trace_point_is_bound(module, name):
+    assert callable(getattr(importlib.import_module(module), name, None))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from irvol.dataio import (
     read_chain,
-    read_chain_meta,
     read_returns,
     read_ticks,
     write_chain,
@@ -177,12 +176,12 @@ class TestChainRoundTrip:
         chain = _small_chain(seed=2, config=config)
         path = tmp_path / "chain.csv"
         write_chain(chain, path, extra_meta={"gap_scale_factor": 7.0})
-        back = read_chain(path)
+        back, meta = read_chain(path)
         np.testing.assert_array_equal(chain.draws, back.draws)
         assert back.names == chain.names
         assert back.config == config
         assert back.acceptance_rates == chain.acceptance_rates
-        assert read_chain_meta(path)["gap_scale_factor"] == 7.0
+        assert meta["gap_scale_factor"] == 7.0
 
     def test_awkward_floats(self, tmp_path):
         names = ("x",)
@@ -191,7 +190,7 @@ class TestChainRoundTrip:
         chain = McmcChain(names, values)
         path = tmp_path / "chain.csv"
         write_chain(chain, path)
-        np.testing.assert_array_equal(read_chain(path).draws, values)
+        np.testing.assert_array_equal(read_chain(path)[0].draws, values)
 
     def test_missing_sidecar_warns(self, tmp_path):
         chain = _small_chain()
@@ -199,8 +198,8 @@ class TestChainRoundTrip:
         write_chain(chain, path)
         (tmp_path / "chain.csv.meta.json").unlink()
         with pytest.warns(UserWarning, match="sidecar"):
-            back = read_chain(path)
-        assert back.config is None
+            back, meta = read_chain(path)
+        assert back.config is None and meta == {}
         np.testing.assert_array_equal(back.draws, chain.draws)
 
     def test_width_mismatch_rejected(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from reference_densities import joint_observation_density, observation_density
 
-from irvol.core import ScaledGaps, generate_gaps
+from irvol.core import generate_gaps
 from irvol.irmsv import (
     CorrelationMatrix,
     IrMsvParams,

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from reference_densities import observation_density, state_transition_density, stationary_state_density
 
-from irvol.core import ScaledGaps, generate_gaps
+from irvol.core import generate_gaps
 from irvol.irsv import IrSvParams, forecast, gap_law, simulate_irsv
 
 NEG_HALF_LOG_2PI = -0.9189385332046727
@@ -54,7 +54,7 @@ class TestSimulate:
 
     def test_unit_gaps_reduce_to_ar1(self):
         p = IrSvParams(-9.0, 0.2, 0.8)
-        gaps = ScaledGaps(np.ones(4999), 1.0)
+        gaps = np.ones(4999)
         h, _ = simulate_irsv(p, gaps, 5000, seed=5)
         lag1 = np.corrcoef(h[:-1], h[1:])[0, 1]
         assert abs(lag1 - 0.2) < 0.05
@@ -70,7 +70,7 @@ class TestSimulate:
     def test_negative_phi_rejected(self):
         p = IrSvParams(0.0, -0.5, 1.0)
         with pytest.raises(ValueError, match="unsupported"):
-            simulate_irsv(p, ScaledGaps(np.full(9, 0.5), 1.0), 10, seed=0)
+            simulate_irsv(p, np.full(9, 0.5), 10, seed=0)
 
     def test_needs_enough_gaps(self):
         p = IrSvParams(0.0, 0.5, 1.0)
@@ -81,9 +81,8 @@ class TestSimulate:
         # alternating gaps: every second pair of states is exactly one
         # time unit apart, exercising Cov(h_t, h_{t+l}) = s2 * phi**l
         p = IrSvParams(0.0, 0.7, 0.6)
-        pattern = np.tile([0.4, 0.6], 100_000)
-        gaps = ScaledGaps(pattern, 1.0)
-        h, _ = simulate_irsv(p, gaps, pattern.size + 1, seed=8)
+        gaps = np.tile([0.4, 0.6], 100_000)
+        h, _ = simulate_irsv(p, gaps, gaps.size + 1, seed=8)
         prod = (h[:-2] - h[:-2].mean()) * (h[2:] - h[2:].mean())
         expected = p.stationary_var * p.phi**1.0
         assert abs(prod.mean() - expected) < 3.0 * batch_se(prod)

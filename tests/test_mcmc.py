@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from irvol.core import GapSeries, ScaledGaps, generate_gaps
+from irvol.core import generate_gaps
 from irvol.irmsv import CorrelationMatrix, IrMsvParams, simulate_irmsv
 from irvol.irsv import IrSvParams, simulate_irsv
 from irvol.mcmc import (
@@ -229,36 +229,46 @@ def _scenario_series(phi, seed, length=600):
     s_gaps, s_sim = ss.spawn(2)
     gaps = generate_gaps(length - 1, 3.0, seed=s_gaps)
     _, r = simulate_irsv(params, gaps, length, seed=s_sim)
-    return GapSeries.from_gaps(r, gaps.gaps)
+    return r, gaps
 
 
 class TestFitIrsv:
     def test_preconditions(self):
-        series = GapSeries.from_gaps(np.full(5, 0.01), np.full(4, 0.5))
         with pytest.raises(ValueError, match="at least 10"):
-            fit_irsv(series, config=McmcConfig(100, 50, 1))
-        unscaled = GapSeries.from_gaps(np.full(20, 0.01), np.full(19, 2.0))
+            fit_irsv(np.full(5, 0.01), np.full(4, 0.5), config=McmcConfig(100, 50, 1))
         with pytest.raises(ValueError, match="scaled"):
-            fit_irsv(unscaled, config=McmcConfig(100, 50, 1))
+            fit_irsv(np.full(20, 0.01), np.full(19, 2.0), config=McmcConfig(100, 50, 1))
+
+    def test_takes_one_series_as_a_vector_or_one_row(self):
+        r, gaps = _scenario_series(0.5, seed=18, length=40)
+        cfg = McmcConfig(100, 50, 1, rng_seed=6)
+        a, _ = fit_irsv(r, gaps, config=cfg)
+        b, _ = fit_irsv(r[np.newaxis, :], gaps, config=cfg)
+        np.testing.assert_array_equal(a.draws, b.draws)
+        with pytest.raises(ValueError, match="one series"):
+            fit_irsv(np.vstack([r, r]), gaps, config=cfg)
+        with pytest.raises(ValueError, match="finite"):
+            fit_irsv(np.append(r[:-1], np.nan), gaps, config=cfg)
+        with pytest.raises(ValueError, match="T - 1"):
+            fit_irsv(r, gaps[:-1], config=cfg)
 
     def test_all_zero_returns_warn_not_fail(self):
-        series = GapSeries.from_gaps(np.zeros(30), np.full(29, 0.5))
         with pytest.warns(UserWarning, match="zero"):
-            chain, _ = fit_irsv(series, config=McmcConfig(200, 100, 1, rng_seed=1))
+            chain, _ = fit_irsv(np.zeros(30), np.full(29, 0.5), config=McmcConfig(200, 100, 1, rng_seed=1))
         assert np.all(np.isfinite(chain.draws))
 
     def test_bit_reproducible(self):
         series = _scenario_series(0.5, seed=10, length=80)
         cfg = McmcConfig(300, 100, 2, rng_seed=42)
-        a, _ = fit_irsv(series, config=cfg)
-        b, _ = fit_irsv(series, config=cfg)
+        a, _ = fit_irsv(*series, config=cfg)
+        b, _ = fit_irsv(*series, config=cfg)
         np.testing.assert_array_equal(a.draws, b.draws)
         assert a.acceptance_rates == b.acceptance_rates
 
     def test_chain_layout(self):
         series = _scenario_series(0.5, seed=11, length=95)
         cfg = McmcConfig(400, 100, 3, rng_seed=1, latent_stride=20)
-        chain, summary = fit_irsv(series, config=cfg)
+        chain, summary = fit_irsv(*series, config=cfg)
         assert chain.n_draws == 100
         assert chain.names[:3] == ("mu", "phi", "sigma_eta")
         assert "h_94" in chain.names  # final site always stored
@@ -274,19 +284,19 @@ class TestFitIrsv:
 
         monkeypatch.setattr(fit_module, "correlation_block_step", forbidden)
         series = _scenario_series(0.5, seed=15, length=40)
-        chain, _ = fit_irsv(series, config=McmcConfig(100, 50, 1, rng_seed=5))
+        chain, _ = fit_irsv(*series, config=McmcConfig(100, 50, 1, rng_seed=5))
         assert chain.n_draws == 50
 
     def test_latent_storage_optional(self):
         series = _scenario_series(0.5, seed=12, length=60)
         cfg = McmcConfig(200, 100, 1, rng_seed=2, store_latent=False)
-        chain, _ = fit_irsv(series, config=cfg)
+        chain, _ = fit_irsv(*series, config=cfg)
         assert chain.names == ("mu", "phi", "sigma_eta")
 
     def test_recovers_truth_at_moderate_scale(self):
         series = _scenario_series(0.6, seed=13, length=1200)
         cfg = McmcConfig(6000, 2000, 4, rng_seed=3)
-        _, summary = fit_irsv(series, config=cfg)
+        _, summary = fit_irsv(*series, config=cfg)
         phi = summary["phi"]
         assert phi.quantiles[0.025] - 0.15 <= 0.6 <= phi.quantiles[0.975] + 0.15
         mu = summary["mu"]
@@ -294,7 +304,7 @@ class TestFitIrsv:
 
     def test_phi_draws_stay_in_unit_interval(self):
         series = _scenario_series(0.2, seed=14, length=150)
-        chain, _ = fit_irsv(series, config=McmcConfig(500, 100, 4, rng_seed=4))
+        chain, _ = fit_irsv(*series, config=McmcConfig(500, 100, 4, rng_seed=4))
         phi = chain.column("phi")
         assert np.all(phi > 0.0) and np.all(phi < 1.0)
         assert np.all(chain.column("sigma_eta") > 0.0)
@@ -313,7 +323,7 @@ def _msv_data(seed, length=400, rho=(0.6, 0.4, 0.2)):
     s_gaps, s_sim = ss.spawn(2)
     gaps = generate_gaps(length - 1, 3.0, seed=s_gaps)
     _, r = simulate_irmsv(params, gaps, length, seed=s_sim)
-    return r, gaps.gaps
+    return r, gaps
 
 
 class TestFitIrmsv:
@@ -362,7 +372,7 @@ class TestFitIrmsv:
         gaps = generate_gaps(1999, 3.0, seed=24)
         _, r = simulate_irmsv(params, gaps, 2000, seed=25)
         cfg = McmcConfig(6000, 2000, 4, rng_seed=8)
-        _, summary = fit_irmsv(r, gaps.gaps, config=cfg)
+        _, summary = fit_irmsv(r, gaps, config=cfg)
         assert abs(summary["rho_12"].mean) < 0.05
 
     def test_negative_correlation_recovery(self):
@@ -372,16 +382,15 @@ class TestFitIrmsv:
         gaps = generate_gaps(999, 3.0, seed=26)
         _, r = simulate_irmsv(params, gaps, 1000, seed=27)
         cfg = McmcConfig(6000, 2000, 4, rng_seed=9)
-        _, summary = fit_irmsv(r, gaps.gaps, config=cfg)
+        _, summary = fit_irmsv(r, gaps, config=cfg)
         rho = summary["rho_12"]
         assert abs(rho.mean - (-0.4)) < 0.1
         assert rho.quantiles[0.975] < 0.0
 
     def test_progress_reporting_to_stderr(self, capsys):
         r, gaps = _msv_data(seed=28, length=40)
-        series = GapSeries.from_gaps(r[0], gaps)
         cfg = McmcConfig(100, 50, 1, rng_seed=10, progress_every=50)
-        fit_irsv(series, config=cfg)
+        fit_irsv(r[0], gaps, config=cfg)
         err = capsys.readouterr().err
         assert "iteration 50/100" in err and "iteration 100/100" in err
 
@@ -389,7 +398,7 @@ class TestFitIrmsv:
 class TestAssetDraws:
     def test_irsv_layout(self):
         series = _scenario_series(0.5, seed=16, length=47)
-        chain, _ = fit_irsv(series, config=McmcConfig(120, 20, 2, rng_seed=8,
+        chain, _ = fit_irsv(*series, config=McmcConfig(120, 20, 2, rng_seed=8,
                                                       latent_stride=10))
         (mu, phi, sigma2, last_h), = asset_draws(chain)
         np.testing.assert_array_equal(mu, chain.column("mu"))
@@ -417,7 +426,7 @@ class TestAssetDraws:
 
     def test_missing_columns_rejected(self):
         series = _scenario_series(0.5, seed=17, length=30)
-        chain, _ = fit_irsv(series, config=McmcConfig(60, 20, 1, rng_seed=10,
+        chain, _ = fit_irsv(*series, config=McmcConfig(60, 20, 1, rng_seed=10,
                                                       store_latent=False))
         with pytest.raises(ValueError, match="no latent columns"):
             asset_draws(chain)
