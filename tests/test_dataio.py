@@ -122,6 +122,25 @@ class TestReturnsRoundTrip:
         with pytest.raises(ValueError, match="disagrees"):
             read_returns(path)
 
+    def test_gaps_agree_with_timestamps(self, tmp_path):
+        ok = _write(tmp_path / "ok.csv", (
+            "timestamp,gap,r_a\n"
+            "0.0,,0.1\n"
+            "1.0,1.0,0.2\n"
+            "3.0,2.0,0.3\n"
+        ))
+        ts, gaps, r, assets = read_returns(ok)
+        np.testing.assert_allclose(gaps, [1.0, 2.0])
+        np.testing.assert_allclose(gaps, np.diff(ts))
+        bad = _write(tmp_path / "bad.csv", (
+            "timestamp,gap,r_a\n"
+            "0.0,,0.1\n"
+            "1.0,1.0,0.2\n"
+            "3.0,1.0,0.3\n"
+        ))
+        with pytest.raises(ValueError, match="disagrees"):
+            read_returns(bad)
+
     @pytest.mark.parametrize("row", ["nan,1.0,0.2", "1.0,nan,0.2", "1.0,1.0,nan", "1.0,1.0,inf"])
     def test_non_finite_number_names_its_line(self, tmp_path, row):
         path = _write(tmp_path / "returns.csv", (
