@@ -10,7 +10,6 @@ from irvol.core import (
     TickSeries,
     draw_positive_poisson,
     generate_gaps,
-    log_returns,
     scale_gaps,
 )
 from irvol.irgarch import (

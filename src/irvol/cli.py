@@ -4,9 +4,10 @@ Every subcommand resolves the options it reads into one record and
 writes it into the ``manifest.json`` of its output directory twice: as
 ``options``, and as ``argv_resolved``, the command line that sets every
 one of them, next to the input and produced files.  ``irvol replay``
-re-runs that command line, so it reproduces the run whatever the
-environment or config file.  Options the subcommand accepts but does
-not use go unrecorded.  A setting resolves in the order: command line,
+re-runs that command line in the directory the run was launched in, so
+it reproduces the run whatever the environment, config file or caller's
+directory.  Options the subcommand accepts but does not use go
+unrecorded.  A setting resolves in the order: command line,
 then ``IRVOL_<NAME>`` environment variables, then a ``--config`` file of
 ``key = value`` lines, whose every key must be one of ``SETTINGS``,
 then its default in ``SETTINGS``.  With
@@ -36,6 +37,7 @@ import numpy as np
 import irvol
 from irvol.core import draw_positive_poisson, generate_gaps, scale_gaps
 from irvol.dataio import (
+    chain_meta_path,
     read_chain,
     read_forecasts,
     read_json,
@@ -294,7 +296,7 @@ def _fit_one_mcmc(model: str, data_path: str, priors, config_kwargs: dict, holdo
     chain, summary = fit(matrix, gaps, priors, config)
     write_chain(chain, chain_path, extra_meta=extra)
     write_summary(summary, summary_path)
-    return [str(chain_path), str(chain_path) + ".meta.json", str(summary_path)]
+    return [str(chain_path), str(chain_meta_path(chain_path)), str(summary_path)]
 
 
 def cmd_fit(args) -> None:
@@ -381,13 +383,10 @@ def cmd_forecast(args) -> None:
     if max(horizons) > holdout:
         raise ValueError("every horizon must fit inside the holdout window")
     n_fit = n - holdout
-    chain, meta = read_chain(o["chain"], model=model, n_obs_fit=n_fit)
-    future_gaps = gaps[n_fit - 1:] / meta.get("gap_scale_factor", 1.0)
+    chain, meta = read_chain(o["chain"], model=model, n_obs_fit=n_fit, asset_ids=assets)
+    future_gaps = gaps[n_fit - 1:] / meta["gap_scale_factor"]
 
-    groups = asset_draws(chain)
-    if len(groups) != len(assets):
-        raise ValueError(f"the chain has {len(groups)} asset(s) but the data file "
-                         f"has {len(assets)}")
+    groups = asset_draws(chain, model, len(assets), n_fit)
     rows = []
     for asset, (mu, phi, sigma2, last_h) in zip(assets, groups):
         fc = forecast(mu, phi, sigma2, last_h, future_gaps, steps=horizons)
@@ -452,15 +451,32 @@ def cmd_compare(args) -> None:
 
 
 def cmd_replay(args) -> int:
-    """Re-run a manifest's command line; its exit code is the replay's."""
+    """Re-run a manifest's command line; its exit code is the replay's.
+
+    The manifest lies in ``<launch>/<out>``, so a recorded ``--out`` that
+    is relative and has no ``..`` locates the directory the run was
+    launched in, and the command runs there; any other runs in the
+    caller's directory.  A replay ``--out`` is taken relative to the
+    caller's directory.
+    """
     argv = read_json(args.manifest).get("argv_resolved")
     if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
         raise ValueError(f"{args.manifest}: argv_resolved is not a command line")
-    if args.out is not None:
-        for i, piece in enumerate(argv[:-1]):
-            if piece == "--out":
-                argv[i + 1] = args.out
-    return main(argv)
+    caller = launch = os.getcwd()
+    for i, piece in enumerate(argv[:-1]):
+        if piece == "--out":
+            recorded = Path(argv[i + 1])
+            if not recorded.is_absolute() and ".." not in recorded.parts:
+                launch = os.path.dirname(os.path.abspath(args.manifest))
+                for _ in recorded.parts:
+                    launch = os.path.dirname(launch)
+            if args.out is not None:
+                argv[i + 1] = os.path.abspath(args.out)
+    os.chdir(launch)
+    try:
+        return main(argv)
+    finally:
+        os.chdir(caller)
 
 
 def build_parser() -> argparse.ArgumentParser:

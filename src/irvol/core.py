@@ -97,16 +97,6 @@ def scale_gaps(gaps) -> tuple[np.ndarray, float]:
     return g / m, m
 
 
-def log_returns(prices) -> np.ndarray:
-    """Log price differences: log(P_j) - log(P_{j-1})."""
-    px = _as_1d_floats(prices, "prices")
-    if px.size < 2:
-        raise ValueError("need at least two prices to form returns")
-    if np.any(px <= 0):
-        raise ValueError("prices must be positive")
-    return np.diff(np.log(px))
-
-
 def squared_returns(returns) -> np.ndarray:
     """Squares of a (T,) or (p, T) return array, checked finite.
 

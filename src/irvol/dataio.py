@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -19,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from irvol.core import TIME_TOL, TickSeries
-from irvol.mcmc.chain import McmcChain, McmcConfig, PosteriorSummary
+from irvol.mcmc.chain import McmcChain, McmcConfig, ParameterSummary
 
 CHAIN_FORMAT_VERSION = 1
 TICK_HEADER = ["asset", "timestamp", "price"]
@@ -225,9 +224,10 @@ def read_json(path) -> dict:
 def write_chain(chain: McmcChain, path, extra_meta: dict | None = None) -> None:
     """Write chain draws to CSV plus a JSON metadata sidecar.
 
-    The sidecar (<path>.meta.json) echoes the config, seed, and acceptance
-    rates; ``extra_meta`` entries are merged in (useful for recording the
-    gap scale factor a fit used).
+    The sidecar (<path>.meta.json) echoes the names, config, seed, and
+    acceptance rates; ``extra_meta`` entries are merged in.  ``read_chain``
+    needs a ``gap_scale_factor`` among them: the factor the fit's gaps
+    were divided by.
     """
     path = Path(path)
     with open(path, "w", newline="") as handle:
@@ -251,64 +251,62 @@ def chain_meta_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def _entry(meta: dict, key: str):
+    if key not in meta:
+        raise ValueError(f"{key}: missing")
+    return meta[key]
+
+
 def read_chain(path, **expect) -> tuple[McmcChain, dict]:
     """Read a chain CSV back into memory, with the entries of its sidecar.
 
-    A missing sidecar degrades gracefully: the chain loads with a warning,
-    no config and no entries.  Each error names the file it is in: a draw
+    The sidecar is required: a missing one raises ``FileNotFoundError``.
+    Each other error is a ``ValueError`` naming the file it is in: a draw
     row whose width disagrees with the header, or a sidecar with an
-    unknown format version, a config ``McmcConfig`` rejects, a
-    ``gap_scale_factor`` that is not a positive number, or an entry that
-    differs from its value in ``expect``.
+    unknown format version, names that disagree with the header, a config
+    ``McmcConfig`` rejects, a ``gap_scale_factor`` that is not a positive
+    number, or an entry that is missing or differs from its value in
+    ``expect``.
     """
     rows = _read_csv(path, lambda header: _floats)
     names = tuple(next(rows))
     draws = np.array([row for _, row in rows])
     meta_path = chain_meta_path(path)
-    meta: dict = {}
-    config = None
-    rates: dict[str, float] = {}
-    if not meta_path.exists():
-        warnings.warn(f"{path}: metadata sidecar missing; config unavailable")
-    else:
-        meta = read_json(meta_path)
-        try:
-            version = meta.get("format_version")
-            if version != CHAIN_FORMAT_VERSION:
-                raise ValueError(f"unsupported chain format version {version!r}")
-            if meta.get("names") is not None and tuple(meta["names"]) != names:
-                raise ValueError("sidecar names disagree with the chain header")
-            rates = {k: float(v) for k, v in meta.get("acceptance_rates", {}).items()}
-            if meta.get("config"):
-                config = McmcConfig(**meta["config"])
-            factor = meta.get("gap_scale_factor", 1.0)
-            if type(factor) not in (int, float) or not 0.0 < factor < np.inf:
-                raise ValueError(f"gap_scale_factor: {factor!r} is not a positive number")
-            for key, wanted in expect.items():
-                if meta.get(key) not in (None, wanted):
-                    raise ValueError(f"{key}: the chain was fit with {meta[key]!r}, "
-                                     f"but this run has {wanted!r}")
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{meta_path}: {exc}") from None
+    meta = read_json(meta_path)
+    try:
+        version = meta.get("format_version")
+        if version != CHAIN_FORMAT_VERSION:
+            raise ValueError(f"unsupported chain format version {version!r}")
+        if tuple(_entry(meta, "names")) != names:
+            raise ValueError("sidecar names disagree with the chain header")
+        rates = {k: float(v) for k, v in meta.get("acceptance_rates", {}).items()}
+        config = McmcConfig(**meta["config"]) if meta.get("config") else None
+        factor = _entry(meta, "gap_scale_factor")
+        if type(factor) not in (int, float) or not 0.0 < factor < np.inf:
+            raise ValueError(f"gap_scale_factor: {factor!r} is not a positive number")
+        for key, wanted in expect.items():
+            if _entry(meta, key) != wanted:
+                raise ValueError(f"{key}: the chain was fit with {meta[key]!r}, "
+                                 f"but this run has {wanted!r}")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     return McmcChain(names, draws, rates, config), meta
 
 
-def write_summary(summary: PosteriorSummary, path) -> None:
+def write_summary(summary: dict[str, ParameterSummary], path) -> None:
     """Write a posterior-summary table with 4-decimal formatting.
 
     One row per parameter with mean, sd, and the stored quantiles.
     Parameter names must be ASCII.
     """
-    names = summary.names
-    for name in names:
+    for name in summary:
         if not name.isascii():
             raise ValueError(f"parameter name {name!r} is not ASCII")
-    probs = sorted(summary[names[0]].quantiles) if names else []
+    probs = sorted(next(iter(summary.values())).quantiles) if summary else []
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["parameter", "mean", "sd"] + [f"q{100 * q:g}" for q in probs])
-        for name in names:
-            stats = summary[name]
+        for name, stats in summary.items():
             writer.writerow([name, f"{stats.mean:.4f}", f"{stats.sd:.4f}"]
                             + [f"{stats.quantiles[q]:.4f}" for q in probs])
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from irvol.core import gap_values
-from irvol.irsv import IrSvParams, _recurse_states, _require_positive_phi
+from irvol.irsv import IrSvParams, _recurse_states
 
 MIN_EIGENVALUE = 1e-10
 SYMMETRY_TOL = 1e-12
@@ -97,7 +97,10 @@ def correlation_names(p: int) -> list[str]:
 
 @dataclass(frozen=True)
 class IrMsvParams:
-    """Per-asset (mu, phi, sigma) plus the observation correlation matrix."""
+    """Per-asset (mu, phi, sigma) plus the observation correlation matrix.
+
+    Each asset's (mu, phi, sigma) must make valid ``IrSvParams``.
+    """
 
     mu: np.ndarray
     phi: np.ndarray
@@ -112,12 +115,6 @@ class IrMsvParams:
             raise ValueError("mu, phi, and sigma must be equal-length vectors")
         if mu.size < 2:
             raise ValueError("the multivariate model needs at least two assets")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(phi)) and np.all(np.isfinite(sigma))):
-            raise ValueError("parameters must be finite")
-        if np.any(np.abs(phi) >= 1.0) or np.any(phi == 0.0):
-            raise ValueError("every phi must satisfy 0 < |phi| < 1")
-        if np.any(sigma <= 0):
-            raise ValueError("every sigma must be positive")
         if self.correlation.p != mu.size:
             raise ValueError("correlation matrix size must match the number of assets")
         for arr in (mu, phi, sigma):
@@ -125,6 +122,11 @@ class IrMsvParams:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "sigma", sigma)
+        for i in range(mu.size):
+            try:
+                self.asset(i)
+            except ValueError as exc:
+                raise ValueError(f"asset {i + 1}: {exc}") from None
 
     @property
     def n_assets(self) -> int:
@@ -144,8 +146,6 @@ def simulate_irmsv(params: IrMsvParams, gaps, length: int, seed=None):
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    for phi in params.phi:
-        _require_positive_phi(float(phi))
     g = gap_values(gaps, count=length - 1, max_one=True)
     p = params.n_assets
     rng = np.random.default_rng(seed)

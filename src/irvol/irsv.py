@@ -39,9 +39,8 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 class IrSvParams:
     """Location mu, persistence phi, and state noise scale sigma_eta.
 
-    Stationarity needs 0 < |phi| < 1.  Fractional gap powers are only
-    defined for positive phi, so simulation, densities, and fitting all
-    reject phi <= 0; negative phi is unsupported throughout.
+    Stationarity needs |phi| < 1, and fractional gap powers phi**g need
+    phi > 0, so the type requires 0 < phi < 1.
     """
 
     mu: float
@@ -52,8 +51,8 @@ class IrSvParams:
         for name in ("mu", "phi", "sigma_eta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not (abs(self.phi) < 1.0) or self.phi == 0.0:
-            raise ValueError("phi must satisfy 0 < |phi| < 1")
+        if not 0.0 < self.phi < 1.0:
+            raise ValueError("phi must satisfy 0 < phi < 1")
         if self.sigma_eta <= 0:
             raise ValueError("sigma_eta must be positive")
 
@@ -61,11 +60,6 @@ class IrSvParams:
     def stationary_var(self) -> float:
         """Unconditional variance of the log-volatility."""
         return self.sigma_eta**2 / (1.0 - self.phi**2)
-
-
-def _require_positive_phi(phi: float) -> None:
-    if phi <= 0:
-        raise ValueError("fractional gap powers need phi in (0, 1); phi <= 0 is unsupported")
 
 
 def gap_law(phi, gaps):
@@ -105,7 +99,6 @@ def simulate_irsv(params: IrSvParams, gaps, length: int, seed=None):
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    _require_positive_phi(params.phi)
     g = gap_values(gaps, count=length - 1, max_one=True)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(length)

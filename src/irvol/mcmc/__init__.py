@@ -4,7 +4,6 @@ from irvol.mcmc.chain import (
     McmcChain,
     McmcConfig,
     ParameterSummary,
-    PosteriorSummary,
     effective_sample_size,
     summarize,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "McmcChain",
     "McmcConfig",
     "ParameterSummary",
-    "PosteriorSummary",
     "VectorAdaptiveScale",
     "adaptive_rwm_scalar",
     "asset_draws",

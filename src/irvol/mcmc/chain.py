@@ -98,23 +98,6 @@ class ParameterSummary:
     ess: float
 
 
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Per-parameter posterior statistics, in chain column order."""
-
-    parameters: dict[str, ParameterSummary]
-
-    def __getitem__(self, name: str) -> ParameterSummary:
-        return self.parameters[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.parameters
-
-    @property
-    def names(self) -> list[str]:
-        return list(self.parameters)
-
-
 def _next_pow_two(n: int) -> int:
     m = 1
     while m < n:
@@ -155,8 +138,9 @@ def effective_sample_size(x) -> float:
     return float(min(n, n / iact))
 
 
-def summarize(chain: McmcChain, probs=(0.025, 0.975)) -> PosteriorSummary:
-    """Mean, sd, interpolated quantiles, and ESS for every chain column."""
+def summarize(chain: McmcChain, probs=(0.025, 0.975)) -> dict[str, ParameterSummary]:
+    """Mean, sd, interpolated quantiles, and ESS for every chain column, in
+    column order."""
     if chain.n_draws < 1:
         raise ValueError("cannot summarize an empty chain")
     probs = tuple(float(q) for q in probs)
@@ -173,4 +157,4 @@ def summarize(chain: McmcChain, probs=(0.025, 0.975)) -> PosteriorSummary:
             quantiles={q: float(v) for q, v in zip(probs, qs)},
             ess=effective_sample_size(col),
         )
-    return PosteriorSummary(out)
+    return out

@@ -30,8 +30,8 @@ Proposal scales adapt toward fixed acceptance targets during burn-in and
 are frozen afterwards.  Chains are bit-reproducible for a fixed seed.
 ``fit_irsv`` and ``fit_irmsv`` take the same (returns, gaps), check them
 in one place, run the engine and name its columns; ``asset_draws`` reads
-each asset's parameters and last stored latent state back out of a chain
-of either model.
+each asset's parameters and last latent state back out of a chain of
+either model.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from irvol.core import gap_values, squared_returns
 from irvol.irmsv import correlation_names, lower_entries
 from irvol.irsv import gap_law
-from irvol.mcmc.chain import McmcChain, McmcConfig, PosteriorSummary, summarize
+from irvol.mcmc.chain import McmcChain, McmcConfig, ParameterSummary, summarize
 from irvol.mcmc.priors import (
     IrMsvPriors,
     IrSvPriors,
@@ -402,7 +402,7 @@ def _fit_data(returns, gaps, multivariate: bool) -> tuple[np.ndarray, np.ndarray
 
 
 def fit_irsv(returns, gaps, priors: IrSvPriors | None = None,
-             config: McmcConfig | None = None) -> tuple[McmcChain, PosteriorSummary]:
+             config: McmcConfig | None = None) -> tuple[McmcChain, dict[str, ParameterSummary]]:
     """Sample the joint posterior of (h, mu, phi, sigma_eta) for one series.
 
     ``returns`` is one series of T returns, (T,) or (1, T), and ``gaps``
@@ -426,7 +426,7 @@ def fit_irsv(returns, gaps, priors: IrSvPriors | None = None,
 
 
 def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
-              config: McmcConfig | None = None) -> tuple[McmcChain, PosteriorSummary]:
+              config: McmcConfig | None = None) -> tuple[McmcChain, dict[str, ParameterSummary]]:
     """Sample the joint posterior of the multivariate model.
 
     ``returns`` is a (p, T) matrix of synchronized returns sharing one
@@ -451,37 +451,20 @@ def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
     return chain, summarize(chain)
 
 
-def _last_latent_column(names, prefix: str) -> str:
-    """Latest-site latent column among names like '<prefix><site>'."""
-    best, best_site = None, -1
-    for name in names:
-        if name.startswith(prefix):
-            try:
-                site = int(name[len(prefix):])
-            except ValueError:
-                continue
-            if site > best_site:
-                best, best_site = name, site
-    if best is None:
-        raise ValueError(f"chain holds no latent columns with prefix {prefix!r}")
-    return best
+def asset_draws(chain: McmcChain, model: str, n_assets: int,
+                length: int) -> list[tuple[np.ndarray, ...]]:
+    """Each asset's (mu, phi, sigma2, last h) draws from a ``model`` chain
+    fit to ``n_assets`` series of ``length`` observations.
 
-
-def asset_draws(chain: McmcChain) -> list[tuple[np.ndarray, ...]]:
-    """Each asset's (mu, phi, sigma2, last stored h) draws.
-
-    Reads either layout: ``fit_irsv``'s mu, phi, sigma_eta, h_<site> (one
-    asset) or ``fit_irmsv``'s mu_i, phi_i, sigma2_i, h<i>_<site>.
+    ``fit_irsv``'s layout is mu, phi, sigma_eta, h_<site> (one asset);
+    ``fit_irmsv``'s is mu_i, phi_i, sigma2_i, h<i>_<site>.  Both store the
+    last site, ``length - 1``, which forecasting starts from.
     """
-    if "mu" in chain.names:
+    last = length - 1
+    if model == "irsv":
+        if n_assets != 1:
+            raise ValueError(f"an irsv chain holds one asset, not {n_assets}")
         return [(chain.column("mu"), chain.column("phi"), chain.column("sigma_eta") ** 2,
-                 chain.column(_last_latent_column(chain.names, "h_")))]
-    out = []
-    while f"mu_{len(out) + 1}" in chain.names:
-        i = len(out) + 1
-        out.append((chain.column(f"mu_{i}"), chain.column(f"phi_{i}"),
-                    chain.column(f"sigma2_{i}"),
-                    chain.column(_last_latent_column(chain.names, f"h{i}_"))))
-    if not out:
-        raise ValueError("chain holds neither irsv nor irmsv parameter columns")
-    return out
+                 chain.column(f"h_{last}"))]
+    return [(chain.column(f"mu_{i}"), chain.column(f"phi_{i}"), chain.column(f"sigma2_{i}"),
+             chain.column(f"h{i}_{last}")) for i in range(1, n_assets + 1)]

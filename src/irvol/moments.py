@@ -49,8 +49,6 @@ def irsv_autocov_sq(params: IrSvParams, lag: float) -> float:
     """
     if not (lag > 0):
         raise ValueError("lag must be a positive gap time; use irsv_var_sq at lag 0")
-    if params.phi <= 0:
-        raise ValueError("gap-time powers need phi in (0, 1)")
     s2 = params.stationary_var
     return math.exp(2.0 * params.mu + s2) * math.expm1(s2 * params.phi**lag)
 

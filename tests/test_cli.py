@@ -499,6 +499,18 @@ class TestReplayAndConfig:
         assert ((tmp_path / "run" / output).read_bytes()
                 == (tmp_path / "replayed" / output).read_bytes())
 
+    @pytest.mark.parametrize("out", ["sim", "runs/sim"])
+    def test_replay_from_inside_the_output_directory(self, tmp_path, monkeypatch, out):
+        # the recorded command runs where it was launched, two levels up for runs/sim
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "sv.json", {"mu": -9.0, "phi": 0.2, "sigma_eta": 0.8})
+        assert run("simulate", "--model", "irsv", "--params", "sv.json", "--length", 30,
+                   "--seed", 4, "--out", out) == 0
+        monkeypatch.chdir(tmp_path / out)
+        assert run("replay", "--manifest", "manifest.json", "--out", "again") == 0
+        assert Path.cwd() == tmp_path / out
+        assert Path("again/rep000.csv").read_bytes() == Path("rep000.csv").read_bytes()
+
     @pytest.mark.parametrize("line, message", [
         ("latent-stride = 7", "line 2: unknown key 'latent-stride'"),
         ("latnet_stride = 7", "line 2: unknown key 'latnet_stride'"),
@@ -605,6 +617,10 @@ MALFORMED = {
     "sidecar-scale-factor": ("fit/rep000.chain.csv.meta.json",
                              _edit_json(lambda meta: meta.update(gap_scale_factor="abc")),
                              FORECAST, "gap_scale_factor"),
+    # every sidecar entry forecast relies on is required
+    **{f"sidecar-missing-{key}": ("fit/rep000.chain.csv.meta.json",
+                                  _edit_json(lambda meta, key=key: meta.pop(key)), FORECAST, key)
+       for key in ("names", "model", "n_obs_fit", "asset_ids", "gap_scale_factor")},
 }
 
 
@@ -625,6 +641,37 @@ def test_malformed_input_exits_with_a_code_naming_the_file(tmp_path, capsys, mon
         assert f"{name}: line {where}: " in err
     elif where is not None:
         assert code == 2 and f"{name}: {where}: " in err
+
+
+def test_forecast_without_its_sidecar_exits_1(tmp_path, capsys, monkeypatch, pipeline):
+    shutil.copytree(pipeline, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    Path("fit/rep000.chain.csv.meta.json").unlink()
+    capsys.readouterr()
+    assert run(*FORECAST, "--out", "out") == 1
+    assert "fit/rep000.chain.csv.meta.json" in capsys.readouterr().err
+
+
+def test_forecast_of_swapped_asset_columns_exits_2(tmp_path, capsys, monkeypatch):
+    # the fit's assets, in the fit's order, must be the data file's
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "msv.json", {"mu": [-9.0, -9.5], "phi": [0.7, 0.5],
+                                       "sigma": [1.0, 0.9],
+                                       "correlation": [[1.0, 0.6], [0.6, 1.0]]})
+    assert run("simulate", "--model", "irmsv", "--params", "msv.json", "--length", 60,
+               "--seed", 5, "--out", "sim") == 0
+    assert run("fit", "--model", "irmsv", "--data", "sim/rep000.csv", "--iters", 20,
+               "--burnin", 10, "--holdout", 20, "--out", "fit") == 0
+    forecast = ("forecast", "--model", "irmsv", "--chain", "fit/rep000.chain.csv",
+                "--data", "sim/rep000.csv", "--holdout", 20, "--horizons", "1,5")
+    assert run(*forecast, "--out", "fc") == 0
+    data = Path("sim/rep000.csv")
+    rows = [line.split(",") for line in data.read_text().splitlines()]
+    data.write_text("".join(",".join(row[:2] + [row[3], row[2]]) + "\n" for row in rows))
+    capsys.readouterr()
+    assert run(*forecast, "--out", "swapped") == 2
+    assert ("fit/rep000.chain.csv.meta.json: asset_ids: the chain was fit with ['s1', 's2']"
+            in capsys.readouterr().err)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

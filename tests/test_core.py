@@ -10,7 +10,6 @@ from irvol.core import (
     draw_positive_poisson,
     gap_values,
     generate_gaps,
-    log_returns,
     scale_gaps,
 )
 
@@ -81,29 +80,6 @@ class TestGapValues:
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             gap_values([[0.5, 0.5]])
-
-
-class TestLogReturns:
-    def test_constant_price(self):
-        np.testing.assert_allclose(log_returns([100.0, 100.0]), [0.0])
-
-    def test_e_fold(self):
-        np.testing.assert_allclose(log_returns([100.0, 100.0 * np.e]), [1.0])
-
-    def test_halving(self):
-        # ln(1/2), verified by arbitrary-precision arithmetic
-        np.testing.assert_allclose(log_returns([2.0, 1.0]), [-0.6931471805599453],
-                                   atol=1e-4)
-
-    def test_nonpositive_price_errors(self):
-        with pytest.raises(ValueError):
-            log_returns([1.0, -2.0])
-
-    @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_recovers_increments(self, x):
-        prices = np.exp(np.cumsum([0.0] + x))
-        np.testing.assert_allclose(log_returns(prices), x, atol=1e-12)
 
 
 class TestGenerateGaps:

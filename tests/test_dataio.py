@@ -208,18 +208,15 @@ class TestChainRoundTrip:
                            [2.2250738585072014e-308]])
         chain = McmcChain(names, values)
         path = tmp_path / "chain.csv"
-        write_chain(chain, path)
+        write_chain(chain, path, extra_meta={"gap_scale_factor": 1.0})
         np.testing.assert_array_equal(read_chain(path)[0].draws, values)
 
-    def test_missing_sidecar_warns(self, tmp_path):
-        chain = _small_chain()
+    def test_missing_sidecar_rejected(self, tmp_path):
         path = tmp_path / "chain.csv"
-        write_chain(chain, path)
+        write_chain(_small_chain(), path, extra_meta={"gap_scale_factor": 1.0})
         (tmp_path / "chain.csv.meta.json").unlink()
-        with pytest.warns(UserWarning, match="sidecar"):
-            back, meta = read_chain(path)
-        assert back.config is None and meta == {}
-        np.testing.assert_array_equal(back.draws, chain.draws)
+        with pytest.raises(FileNotFoundError, match="chain.csv.meta.json"):
+            read_chain(path)
 
     def test_width_mismatch_rejected(self, tmp_path):
         path = _write(tmp_path / "chain.csv", "a,b\n1.0,2.0\n3.0\n")
@@ -256,9 +253,8 @@ class TestWriteSummary:
         assert len(lines) == 3
 
     def test_empty_summary_header_only(self, tmp_path):
-        from irvol.mcmc import PosteriorSummary
         path = tmp_path / "summary.csv"
-        write_summary(PosteriorSummary({}), path)
+        write_summary({}, path)
         assert path.read_text().splitlines() == ["parameter,mean,sd"]
 
     def test_non_ascii_rejected(self, tmp_path):

@@ -67,6 +67,16 @@ class TestParams:
             IrMsvParams(mu=[0.0, 1.0, 2.0], phi=[0.5, 0.5, 0.5],
                         sigma=[1.0, 1.0, 1.0], correlation=corr)
 
+    @pytest.mark.parametrize("mu, phi, sigma, message", [
+        ([0.0, 0.0], [0.5, -0.5], [1.0, 1.0], "asset 2: phi must satisfy 0 < phi < 1"),
+        ([0.0, np.nan], [0.5, 0.5], [1.0, 1.0], "asset 2: mu must be finite"),
+        ([0.0, 0.0], [0.5, 0.5], [0.0, 1.0], "asset 1: sigma_eta must be positive"),
+    ])
+    def test_each_asset_checked_by_its_univariate_params(self, mu, phi, sigma, message):
+        corr = CorrelationMatrix([[1.0, 0.2], [0.2, 1.0]])
+        with pytest.raises(ValueError, match=message):
+            IrMsvParams(mu=mu, phi=phi, sigma=sigma, correlation=corr)
+
     def test_asset_accessor(self):
         params = table_params()
         one = params.asset(1)

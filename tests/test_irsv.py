@@ -68,9 +68,9 @@ class TestSimulate:
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_negative_phi_rejected(self):
-        p = IrSvParams(0.0, -0.5, 1.0)
-        with pytest.raises(ValueError, match="unsupported"):
-            simulate_irsv(p, np.full(9, 0.5), 10, seed=0)
+        # fractional gap powers need phi > 0, so the parameters cannot be built
+        with pytest.raises(ValueError, match="0 < phi < 1"):
+            IrSvParams(0.0, -0.5, 1.0)
 
     def test_needs_enough_gaps(self):
         p = IrSvParams(0.0, 0.5, 1.0)

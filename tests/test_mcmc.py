@@ -275,7 +275,7 @@ class TestFitIrsv:
         assert set(chain.acceptance_rates) == {"h", "mu", "phi", "sigma_eta"}
         for rate in chain.acceptance_rates.values():
             assert 0.0 <= rate <= 1.0
-        assert set(summary.names) == set(chain.names)
+        assert list(summary) == list(chain.names)
 
     def test_no_correlation_step_for_one_asset(self, monkeypatch):
         # the block step draws from the stream even with no free entries
@@ -400,7 +400,7 @@ class TestAssetDraws:
         series = _scenario_series(0.5, seed=16, length=47)
         chain, _ = fit_irsv(*series, config=McmcConfig(120, 20, 2, rng_seed=8,
                                                       latent_stride=10))
-        (mu, phi, sigma2, last_h), = asset_draws(chain)
+        (mu, phi, sigma2, last_h), = asset_draws(chain, "irsv", 1, 47)
         np.testing.assert_array_equal(mu, chain.column("mu"))
         np.testing.assert_array_equal(phi, chain.column("phi"))
         np.testing.assert_array_equal(sigma2, chain.column("sigma_eta") ** 2)
@@ -410,7 +410,7 @@ class TestAssetDraws:
         r, gaps = _msv_data(seed=29, length=45)
         chain, _ = fit_irmsv(r, gaps, config=McmcConfig(120, 20, 2, rng_seed=9,
                                                         latent_stride=20))
-        groups = asset_draws(chain)
+        groups = asset_draws(chain, "irmsv", 3, 45)
         assert len(groups) == 3
         for i, (mu, phi, sigma2, last_h) in enumerate(groups, start=1):
             np.testing.assert_array_equal(mu, chain.column(f"mu_{i}"))
@@ -419,16 +419,19 @@ class TestAssetDraws:
             np.testing.assert_array_equal(last_h, chain.column(f"h{i}_44"))
 
     def test_latest_site_chosen_by_number(self):
+        # the last site is the fit length less one, wherever its column is
         draws = np.arange(12.0).reshape(2, 6)
         chain = McmcChain(("mu", "phi", "sigma_eta", "h_10", "h_9", "h_2"), draws)
-        (_, _, _, last_h), = asset_draws(chain)
+        (_, _, _, last_h), = asset_draws(chain, "irsv", 1, 11)
         np.testing.assert_array_equal(last_h, chain.column("h_10"))
 
     def test_missing_columns_rejected(self):
         series = _scenario_series(0.5, seed=17, length=30)
         chain, _ = fit_irsv(*series, config=McmcConfig(60, 20, 1, rng_seed=10,
                                                       store_latent=False))
-        with pytest.raises(ValueError, match="no latent columns"):
-            asset_draws(chain)
-        with pytest.raises(ValueError, match="neither"):
-            asset_draws(McmcChain(("x",), np.zeros((3, 1))))
+        with pytest.raises(KeyError, match="h_29"):
+            asset_draws(chain, "irsv", 1, 30)
+        with pytest.raises(KeyError, match="mu_1"):
+            asset_draws(chain, "irmsv", 2, 30)
+        with pytest.raises(ValueError, match="one asset"):
+            asset_draws(chain, "irsv", 2, 30)
