@@ -167,6 +167,8 @@ def _write_manifest(out_dir: Path, subcommand: str, options: dict, inputs: list[
 def _run_jobs(fn, jobs: list[tuple], threads: int) -> list:
     """``fn(*job)`` for each job, in order, across ``threads`` processes when
     there are several jobs."""
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, not {threads}")
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, *zip(*jobs)))
@@ -358,15 +360,15 @@ def cmd_refresh(args) -> None:
 
 
 def _parse_horizons(text: str) -> list[int]:
-    if not text.strip():
-        raise ValueError("the horizon list is empty")
-    horizons = []
-    for piece in text.split(","):
-        value = int(piece)
-        if value < 1:
-            raise ValueError("horizons must be positive integers")
-        horizons.append(value)
-    return sorted(set(horizons))
+    """The sorted distinct horizons of a comma-separated ``--horizons`` list."""
+    try:
+        horizons = sorted({int(piece) for piece in text.split(",")})
+        if horizons[0] >= 1:
+            return horizons
+    except ValueError:
+        pass
+    raise ValueError(f"--horizons must be a comma-separated list of positive integers, "
+                     f"not {text!r}")
 
 
 def cmd_forecast(args) -> None:
@@ -386,7 +388,10 @@ def cmd_forecast(args) -> None:
     chain, meta = read_chain(o["chain"], model=model, n_obs_fit=n_fit, asset_ids=assets)
     future_gaps = gaps[n_fit - 1:] / meta["gap_scale_factor"]
 
-    groups = asset_draws(chain, model, len(assets), n_fit)
+    try:
+        groups = asset_draws(chain, model, len(assets), n_fit)
+    except KeyError as exc:
+        raise ValueError(f"{o['chain']}: {exc.args[0]}") from None
     rows = []
     for asset, (mu, phi, sigma2, last_h) in zip(assets, groups):
         fc = forecast(mu, phi, sigma2, last_h, future_gaps, steps=horizons)

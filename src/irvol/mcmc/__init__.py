@@ -11,7 +11,6 @@ from irvol.mcmc.fit import DEFAULT_CONFIG, asset_draws, fit_irmsv, fit_irsv
 from irvol.mcmc.priors import IrMsvPriors, IrSvPriors
 from irvol.mcmc.samplers import (
     AdaptiveScale,
-    VectorAdaptiveScale,
     adaptive_rwm_scalar,
     correlation_block_step,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "McmcChain",
     "McmcConfig",
     "ParameterSummary",
-    "VectorAdaptiveScale",
     "adaptive_rwm_scalar",
     "asset_draws",
     "correlation_block_step",

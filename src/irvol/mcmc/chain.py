@@ -87,7 +87,7 @@ class McmcChain:
         try:
             return self.draws[:, self._index[name]]
         except KeyError:
-            raise KeyError(f"no chain column named {name!r}") from None
+            raise KeyError(f"no chain column named {name}") from None
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from irvol.mcmc.priors import (
     truncated_normal_logpdf,
     variance_logprior,
 )
-from irvol.mcmc.samplers import AdaptiveScale, VectorAdaptiveScale, adaptive_rwm_scalar, correlation_block_step
+from irvol.mcmc.samplers import AdaptiveScale, adaptive_rwm_scalar, correlation_block_step
 
 H_INIT_FLOOR = 1e-12  # added to r^2 before the log when initializing h
 MU_INIT_OFFSET = 1.27  # rough mean of -log(chi2_1), recentres log r^2 on mu
@@ -152,19 +152,20 @@ def _log_ratios(hp_i, parity, prop, eps_prop, eps_cur, mu_i, prior, inv_s2, qii,
     return (cur - prop) * (0.5 + lin * inv_s2) - (eps_prop - eps_cur) * obs
 
 
-def _msv_sweep(hp_i, eps_i, r_i, parity, mu_i, prior, inv_s2, qii, cross, scales, rng) -> int:
-    """Single-site updates of one parity class for one asset's latent path."""
+def _msv_sweep(hp_i, eps_i, r_i, parity, mu_i, prior, inv_s2, qii, cross, scales, flags,
+               rng) -> int:
+    """Single-site updates of one parity class for one asset's latent path;
+    each site's accept flag goes into its entry of ``flags``."""
     left, at, _ = parity
     cur = hp_i[at]  # a view: accepted proposals are written through it
     prop = cur + scales.values[left] * rng.standard_normal(cur.size)
     logu = np.log(rng.random(cur.size))
     eps_cur = eps_i[left]
     eps_prop = r_i[left] * np.exp(np.minimum(-prop / 2.0, 700.0))
-    accept = logu < _log_ratios(hp_i, parity, prop, eps_prop, eps_cur, mu_i, prior, inv_s2,
-                                qii, cross)
+    accept = np.less(logu, _log_ratios(hp_i, parity, prop, eps_prop, eps_cur, mu_i, prior,
+                                       inv_s2, qii, cross), out=flags[left])
     np.copyto(cur, prop, where=accept)
     np.copyto(eps_cur, eps_prop, where=accept)
-    scales.record(left, accept)
     return int(np.count_nonzero(accept))
 
 
@@ -306,7 +307,8 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
 
     parities = _parities(length)
     target, interval = config.target_accept_scalar, config.adapt_interval
-    h_scales = [VectorAdaptiveScale(length, 1.0, target, interval) for _ in range(p)]
+    h_scales = [AdaptiveScale(np.ones(length), target, interval) for _ in range(p)]
+    h_flags = np.empty(length, dtype=bool)  # one asset's latent accept flags of a sweep
     scalar_scales = [[AdaptiveScale(value, target, interval) for value in (0.2, walk.scale, 0.3)]
                      for _ in range(p)]
     corr_scale = AdaptiveScale(0.05, config.target_accept_block, interval)
@@ -331,8 +333,8 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
             mu_i, _, s2_i, prior = states[i]
             for parity in parities:
                 h_acc += _msv_sweep(hp[i], eps[i], r[i], parity, mu_i, prior, 1.0 / s2_i,
-                                    float(prec[i, i]), cross, h_scales[i], rng)
-            h_scales[i].sweep_done()
+                                    float(prec[i, i]), cross, h_scales[i], h_flags, rng)
+            h_scales[i].observe(h_flags)
 
         for i in range(p):
             states[i], accepted = _scalar_steps(h[i], states[i], distinct, walk, priors,

@@ -11,91 +11,63 @@ from irvol.irmsv import corr_from_lower, lower_index
 
 
 class AdaptiveScale:
-    """Proposal scale tuned toward a target acceptance rate.
+    """Proposal scales tuned toward a target acceptance rate on one clock.
 
-    Every ``interval`` recorded steps the scale is multiplied by
-    exp(step_size * (rate - target)) with a Robbins-Monro step size
-    decaying as 1/sqrt(adaptation round).  Call ``freeze()`` at the end
-    of burn-in; a frozen scale never changes again, which keeps the
-    post-burn-in chain a genuine Markov chain.
+    ``values`` is a 1-D array of scales; a number gives a single scale.
+    Each ``observe(accepted)`` records one accept flag per scale.  Every
+    ``interval`` observations each scale is multiplied by
+    exp((rate - target) / sqrt(round)), a Robbins-Monro step decaying
+    with the adaptation round, and kept in [1e-8, 1e6].  Call
+    ``freeze()`` at the end of burn-in; a frozen scale never changes
+    again, which keeps the post-burn-in chain a genuine Markov chain.
     """
 
-    __slots__ = ("value", "target", "interval", "frozen", "_accepted", "_seen", "_round")
+    __slots__ = ("values", "target", "interval", "frozen", "_accepted", "_seen", "_round")
 
-    def __init__(self, value: float, target: float, interval: int = 200):
-        if value <= 0:
-            raise ValueError("the initial scale must be positive")
+    def __init__(self, values, target: float, interval: int = 200):
+        values = np.array(values, dtype=float, ndmin=1)
+        if values.ndim != 1 or not np.all(values > 0):
+            raise ValueError("the initial scales must be positive")
         if not (0.0 < target < 1.0):
             raise ValueError("the target acceptance rate must lie in (0, 1)")
         if interval < 1:
             raise ValueError("the adaptation interval must be at least 1")
-        self.value = float(value)
+        self.values = values
         self.target = float(target)
         self.interval = int(interval)
         self.frozen = False
-        self._accepted = 0
+        self._accepted = np.zeros(values.size)
         self._seen = 0
         self._round = 0
 
-    def observe(self, accepted: bool) -> None:
+    def observe(self, accepted) -> None:
         if self.frozen:
             return
+        self._accepted += accepted
         self._seen += 1
-        self._accepted += bool(accepted)
         if self._seen >= self.interval:
             self._round += 1
-            rate = self._accepted / self._seen
-            self.value *= math.exp((rate - self.target) / math.sqrt(self._round))
-            self.value = min(max(self.value, 1e-8), 1e6)
-            self._accepted = 0
+            rates = self._accepted / self._seen
+            self.values *= np.exp((rates - self.target) / math.sqrt(self._round))
+            np.clip(self.values, 1e-8, 1e6, out=self.values)
+            self._accepted[:] = 0.0
             self._seen = 0
 
     def freeze(self) -> None:
         self.frozen = True
 
 
-class VectorAdaptiveScale:
-    """Per-site proposal scales sharing one adaptation clock.
+def _metropolis(proposal_lp: float, current_lp: float, rng: np.random.Generator) -> bool:
+    """Accept with probability min(1, exp(proposal_lp - current_lp)).
 
-    Intended for latent-state sweeps where every site records exactly one
-    accept/reject per sweep; ``sweep_done()`` advances the clock and, every
-    ``interval`` sweeps, adapts all scales from their per-site rates.
+    A -inf proposal is always rejected and a -inf current point always
+    left; only the remaining case draws a uniform.
     """
-
-    __slots__ = ("values", "target", "interval", "frozen", "_accepted", "_sweeps", "_round")
-
-    def __init__(self, size: int, value: float, target: float, interval: int = 200):
-        if value <= 0:
-            raise ValueError("the initial scale must be positive")
-        if not (0.0 < target < 1.0):
-            raise ValueError("the target acceptance rate must lie in (0, 1)")
-        self.values = np.full(size, float(value))
-        self.target = float(target)
-        self.interval = int(interval)
-        self.frozen = False
-        self._accepted = np.zeros(size)
-        self._sweeps = 0
-        self._round = 0
-
-    def record(self, sites: np.ndarray, accepted: np.ndarray) -> None:
-        if self.frozen:
-            return
-        self._accepted[sites] += accepted
-
-    def sweep_done(self) -> None:
-        if self.frozen:
-            return
-        self._sweeps += 1
-        if self._sweeps >= self.interval:
-            self._round += 1
-            rates = self._accepted / self._sweeps
-            self.values *= np.exp((rates - self.target) / math.sqrt(self._round))
-            np.clip(self.values, 1e-8, 1e6, out=self.values)
-            self._accepted[:] = 0.0
-            self._sweeps = 0
-
-    def freeze(self) -> None:
-        self.frozen = True
+    if proposal_lp == -math.inf:
+        return False
+    if current_lp == -math.inf:
+        return True
+    return math.log(rng.random()) < proposal_lp - current_lp
 
 
 class ScalarStep(NamedTuple):
@@ -115,14 +87,9 @@ def adaptive_rwm_scalar(current: float, log_target: Callable[[float], float],
     """
     if current_log_target is None:
         current_log_target = log_target(current)
-    proposal = current + scale.value * rng.standard_normal()
+    proposal = current + float(scale.values[0]) * rng.standard_normal()
     proposal_lp = log_target(proposal)
-    if proposal_lp == -math.inf:
-        accepted = False
-    elif current_log_target == -math.inf:
-        accepted = True
-    else:
-        accepted = math.log(rng.uniform()) < proposal_lp - current_log_target
+    accepted = _metropolis(proposal_lp, current_log_target, rng)
     scale.observe(accepted)
     return ScalarStep(proposal, True) if accepted else ScalarStep(current, False)
 
@@ -150,7 +117,7 @@ def correlation_block_step(corr: np.ndarray, scale: AdaptiveScale,
     """
     p = corr.shape[0]
     rows, cols = lower_index(p)
-    proposal_flat = corr[rows, cols] + scale.value * rng.standard_normal(rows.size)
+    proposal_flat = corr[rows, cols] + float(scale.values[0]) * rng.standard_normal(rows.size)
     if np.any(np.abs(proposal_flat) >= 1.0):
         scale.observe(False)
         return BlockStep(corr, False)
@@ -163,11 +130,6 @@ def correlation_block_step(corr: np.ndarray, scale: AdaptiveScale,
     proposal_lp = log_target(proposal, chol)
     if current_log_target is None:
         current_log_target = log_target(corr, np.linalg.cholesky(corr))
-    if proposal_lp == -math.inf:
-        accepted = False
-    elif current_log_target == -math.inf:
-        accepted = True
-    else:
-        accepted = math.log(rng.uniform()) < proposal_lp - current_log_target
+    accepted = _metropolis(proposal_lp, current_log_target, rng)
     scale.observe(accepted)
     return BlockStep(proposal, True) if accepted else BlockStep(corr, False)

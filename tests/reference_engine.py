@@ -23,7 +23,7 @@ from irvol.irmsv import corr_from_lower, lower_entries
 from irvol.irsv import gap_law
 from irvol.mcmc.fit import H_INIT_FLOOR, MU_INIT_OFFSET, _latent_sites
 from irvol.mcmc.priors import normal_logpdf, variance_logprior
-from irvol.mcmc.samplers import AdaptiveScale, VectorAdaptiveScale
+from irvol.mcmc.samplers import AdaptiveScale
 
 
 class _Parity(NamedTuple):
@@ -51,7 +51,7 @@ def _safe_exp(x: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(x, 700.0))
 
 
-def _msv_sweep(h_i, eps_i, r_i, parity, mu_i, a, v, qii, cross, scales, rng) -> int:
+def _msv_sweep(h_i, eps_i, r_i, parity, mu_i, a, v, qii, cross, scales, flags, rng) -> int:
     sites = parity.sites
     if sites.size == 0:
         return 0
@@ -76,13 +76,13 @@ def _msv_sweep(h_i, eps_i, r_i, parity, mu_i, a, v, qii, cross, scales, rng) -> 
     idx = sites[accept]
     h_i[idx] = prop[accept]
     eps_i[idx] = eps_prop[accept]
-    scales.record(sites, accept)
+    flags[sites] = accept
     return int(accept.sum())
 
 
 def _scalar_step(current, log_target, scale, rng):
     current_lp = log_target(current)
-    proposal = current + scale.value * rng.standard_normal()
+    proposal = current + float(scale.values[0]) * rng.standard_normal()
     proposal_lp = log_target(proposal)
     if proposal_lp == -math.inf:
         accepted = False
@@ -98,7 +98,7 @@ def _correlation_step(corr, scale, rng, log_target):
     p = corr.shape[0]
     rows, cols = np.tril_indices(p, -1)
     current_lp = log_target(corr)
-    proposal_flat = corr[rows, cols] + scale.value * rng.standard_normal(rows.size)
+    proposal_flat = corr[rows, cols] + float(scale.values[0]) * rng.standard_normal(rows.size)
     if np.any(np.abs(proposal_flat) >= 1.0):
         scale.observe(False)
         return corr, False
@@ -145,7 +145,8 @@ def sample(r, gaps, walk, priors, config):
     v = [sigma2[i] * trans[i][1] for i in range(p)]
     parities = _parities(length)
     target, interval = config.target_accept_scalar, config.adapt_interval
-    h_scales = [VectorAdaptiveScale(length, 1.0, target, interval) for _ in range(p)]
+    h_scales = [AdaptiveScale(np.ones(length), target, interval) for _ in range(p)]
+    h_flags = np.empty(length, dtype=bool)
     mu_scales = [AdaptiveScale(0.2, target, interval) for _ in range(p)]
     x_scales = [AdaptiveScale(walk.scale, target, interval) for _ in range(p)]
     u_scales = [AdaptiveScale(0.3, target, interval) for _ in range(p)]
@@ -173,8 +174,8 @@ def sample(r, gaps, walk, priors, config):
             cross = prec[i] @ eps - prec[i, i] * eps[i] if p > 1 else None
             for parity in parities:
                 h_acc += _msv_sweep(h[i], eps[i], r[i], parity, float(mu[i]), trans[i][0],
-                                    v[i], float(prec[i, i]), cross, h_scales[i], rng)
-            h_scales[i].sweep_done()
+                                    v[i], float(prec[i, i]), cross, h_scales[i], h_flags, rng)
+            h_scales[i].observe(h_flags)
 
         for i in range(p):
             a_i, c_i = trans[i]

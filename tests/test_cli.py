@@ -674,6 +674,52 @@ def test_forecast_of_swapped_asset_columns_exits_2(tmp_path, capsys, monkeypatch
             in capsys.readouterr().err)
 
 
+def test_forecast_of_a_chain_without_the_last_site_names_the_chain(tmp_path, capsys,
+                                                                   monkeypatch, pipeline):
+    # the chain and its sidecar agree, but both lack h_79, the last site of
+    # the 80-observation fit
+    shutil.copytree(pipeline, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    chain = Path("fit/rep000.chain.csv")
+    rows = [line.split(",") for line in chain.read_text().splitlines()]
+    drop = rows[0].index("h_79")
+    chain.write_text("".join(",".join(row[:drop] + row[drop + 1:]) + "\n" for row in rows))
+    sidecar = Path("fit/rep000.chain.csv.meta.json")
+    sidecar.write_text(_edit_json(lambda meta: meta["names"].remove("h_79"))(sidecar.read_text()))
+    capsys.readouterr()
+    assert run(*FORECAST, "--out", "out") == 2
+    assert "error: fit/rep000.chain.csv: no chain column named h_79\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+@pytest.mark.parametrize("via", ["flag", "environment"])
+@pytest.mark.parametrize("argv", [SIMULATE, FIT_WITH_PRIORS], ids=["simulate", "fit"])
+def test_threads_below_1_exit_2_before_any_job(tmp_path, capsys, monkeypatch, pipeline, argv,
+                                               via, threads):
+    shutil.copytree(pipeline, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    if via == "flag":
+        argv += ("--threads", threads)
+    else:
+        monkeypatch.setenv("IRVOL_THREADS", threads)
+    capsys.readouterr()
+    assert run(*argv, "--out", "out") == 2
+    assert f"error: --threads must be at least 1, not {threads}\n" in capsys.readouterr().err
+    assert list(Path("out").iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["1,,5", "1,five", "0,5"])
+def test_malformed_horizons_name_the_option(tmp_path, capsys, monkeypatch, pipeline, text):
+    shutil.copytree(pipeline, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    argv = list(FORECAST)
+    argv[argv.index("--horizons") + 1] = text
+    capsys.readouterr()
+    assert run(*argv, "--out", "out") == 2
+    assert (f"error: --horizons must be a comma-separated list of positive integers, "
+            f"not {text!r}\n" in capsys.readouterr().err)
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

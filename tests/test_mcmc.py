@@ -80,6 +80,45 @@ class TestLkjLogDensity:
         assert lkj_log_density(np.ones((2, 2)), 1.2) == -math.inf
 
 
+class TestAdaptiveScale:
+    START, TARGET = [0.3, 1.0, 2.5], 0.44
+
+    def test_a_vector_adapts_as_its_scales_alone(self):
+        rng = np.random.default_rng(7)
+        interval = 20
+        vector = AdaptiveScale(self.START, self.TARGET, interval)
+        singles = [AdaptiveScale(value, self.TARGET, interval) for value in self.START]
+        for flags in rng.random((10 * interval + 3, 3)) < [0.1, 0.44, 0.9]:
+            vector.observe(flags)
+            for scale, flag in zip(singles, flags):
+                scale.observe(bool(flag))
+        assert vector.values.tolist() == [scale.values[0] for scale in singles]
+        assert vector.values.tolist() != self.START
+
+    def test_a_round_multiplies_by_exp_of_rate_minus_target(self):
+        flags = np.array([[1, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1]], dtype=bool)
+        scale = AdaptiveScale(self.START, self.TARGET, interval=4)
+        for row in flags[:-1]:
+            scale.observe(row)
+        assert scale.values.tolist() == self.START
+        scale.observe(flags[-1])
+        rates = [0.25, 0.0, 1.0]
+        assert scale.values.tolist() == [value * np.exp(rate - self.TARGET)
+                                         for value, rate in zip(self.START, rates)]
+
+    def test_a_frozen_scale_never_changes(self):
+        scale = AdaptiveScale(self.START, self.TARGET, interval=1)
+        scale.freeze()
+        for flags in ([True] * 3, [False] * 3) * 50:
+            scale.observe(flags)
+        assert scale.values.tolist() == self.START
+
+    @pytest.mark.parametrize("values", [0.0, -1.0, [1.0, 0.0], [[1.0]]])
+    def test_non_positive_or_non_vector_scales_rejected(self, values):
+        with pytest.raises(ValueError, match="initial scales"):
+            AdaptiveScale(values, self.TARGET)
+
+
 class TestAdaptiveRwmScalar:
     def test_flat_target_always_accepts(self):
         rng = np.random.default_rng(0)
