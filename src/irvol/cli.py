@@ -295,7 +295,10 @@ def _fit_one_mcmc(model: str, data_path: str, priors, config_kwargs: dict, holdo
              "n_obs_fit": matrix.shape[1], "asset_ids": assets,
              "data_file": str(data_path)}
     fit = fit_irsv if model == "irsv" else fit_irmsv
-    chain, summary = fit(matrix, gaps, priors, config)
+    try:
+        chain, summary = fit(matrix, gaps, priors, config)
+    except (ValueError, RuntimeError) as exc:
+        raise type(exc)(f"{data_path}: {exc}") from None
     write_chain(chain, chain_path, extra_meta=extra)
     write_summary(summary, summary_path)
     return [str(chain_path), str(chain_meta_path(chain_path)), str(summary_path)]
@@ -326,10 +329,15 @@ def cmd_fit(args) -> None:
         for data_path in o["data"]:
             timestamps, gaps, matrix, assets = read_returns(data_path)
             if matrix.shape[0] != 1:
-                raise ValueError(f"{model} expects exactly one return column")
+                raise ValueError(f"{data_path}: {model} expects exactly one return column")
             matrix, gaps = _drop_holdout(matrix, gaps, o["holdout"])
             series.append((matrix[0], gaps))
-        fits = fit_ml(series, arch_only=(model == "irarch"))
+        try:
+            fits = fit_ml(series, arch_only=(model == "irarch"))
+        except (ValueError, RuntimeError) as exc:
+            if not hasattr(exc, "series"):
+                raise
+            raise type(exc)(f"{o['data'][exc.series]}: {exc}") from None
         for data_path, (r, _), fit in zip(o["data"], series, fits):
             report = {"model": model, **vars(fit.params), **vars(fit),
                       "n_obs_fit": int(r.size), "data_file": str(data_path)}
@@ -562,15 +570,11 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         code = args.handler(args)
-    except OSError as exc:
+    except (OSError, ValueError, KeyError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        if isinstance(exc, OSError):
+            return EXIT_IO
+        return EXIT_VALIDATION if isinstance(exc, (ValueError, KeyError)) else EXIT_NUMERICAL
     return EXIT_OK if code is None else code
 
 

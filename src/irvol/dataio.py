@@ -156,10 +156,12 @@ def write_returns(path, timestamps, returns, asset_ids: Sequence[str]) -> None:
     for asset in asset_ids:
         if not asset.isascii():
             raise ValueError(f"asset id {asset!r} is not ASCII")
+    header = ["timestamp", "gap"] + [f"r_{a}" for a in asset_ids]
+    _returns_parser(header)  # refuse what read_returns would
     gaps = np.diff(ts)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["timestamp", "gap"] + [f"r_{a}" for a in asset_ids])
+        writer.writerow(header)
         for j in range(ts.size):
             gap_field = "" if j == 0 else _fmt(gaps[j - 1])
             writer.writerow([_fmt(ts[j]), gap_field] + [_fmt(v) for v in r[:, j]])
@@ -174,9 +176,12 @@ def _returns_row(cells) -> tuple[float, float, list[float]]:
 def _returns_parser(header):
     if len(header) < 3 or header[0] != "timestamp" or header[1] != "gap":
         raise ValueError("expected header 'timestamp,gap,r_<asset>,...'")
-    for cell in header[2:]:
+    assets = [cell[2:] for cell in header[2:]]
+    for k, cell in enumerate(header[2:]):
         if not cell.startswith("r_"):
             raise ValueError(f"malformed return column {cell!r}")
+        if not assets[k] or assets[k] in assets[:k]:  # each column names one asset
+            raise ValueError(f"{'duplicate' if assets[k] else 'empty'} asset id {assets[k]!r}")
     return _returns_row
 
 

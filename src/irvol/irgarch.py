@@ -379,8 +379,15 @@ def fit_ml(series, arch_only: bool = False) -> list[MlFit]:
     of ``series`` from every grid start, in the coordinates of the module
     docstring.  The searches of all series of one length run together in
     ``minimize``, and each fit equals the series' fit alone.  A return
-    whose square overflows raises RuntimeError."""
-    prepared = [_prepare(r, gaps) for r, gaps in series]
+    whose square overflows raises RuntimeError; an error about one series
+    holds its index in ``series``."""
+    prepared = []
+    for k, (r, gaps) in enumerate(series):
+        try:
+            prepared.append(_prepare(r, gaps))
+        except (ValueError, RuntimeError) as exc:
+            exc.series = k
+            raise
     fits: list[MlFit] = [None] * len(prepared)
     starts = len(_START_GRID)
     for n in sorted({p[0].size for p in prepared}):

@@ -125,8 +125,8 @@ class IrMsvParams:
         for i in range(mu.size):
             try:
                 self.asset(i)
-            except ValueError as exc:
-                raise ValueError(f"asset {i + 1}: {exc}") from None
+            except ValueError as exc:  # IrSvParams calls sigma sigma_eta
+                raise ValueError(f"asset {i + 1}: {exc}".replace("sigma_eta", "sigma")) from None
 
     @property
     def n_assets(self) -> int:

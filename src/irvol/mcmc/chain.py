@@ -98,13 +98,6 @@ class ParameterSummary:
     ess: float
 
 
-def _next_pow_two(n: int) -> int:
-    m = 1
-    while m < n:
-        m <<= 1
-    return m
-
-
 def effective_sample_size(x) -> float:
     """ESS via Geyer's initial monotone sequence estimator.
 
@@ -119,7 +112,7 @@ def effective_sample_size(x) -> float:
     centered = arr - arr.mean()
     if not np.any(centered):
         return float(n)
-    m = _next_pow_two(2 * n)
+    m = 1 << (2 * n - 1).bit_length()  # the least power of two >= 2n
     spec = np.fft.rfft(centered, m)
     acov = np.fft.irfft(spec * np.conj(spec), m)[:n].real / n
     rho = acov / acov[0]

@@ -153,7 +153,7 @@ def _log_ratios(hp_i, parity, prop, eps_prop, eps_cur, mu_i, prior, inv_s2, qii,
 
 
 def _msv_sweep(hp_i, eps_i, r_i, parity, mu_i, prior, inv_s2, qii, cross, scales, flags,
-               rng) -> int:
+               rng) -> None:
     """Single-site updates of one parity class for one asset's latent path;
     each site's accept flag goes into its entry of ``flags``."""
     left, at, _ = parity
@@ -166,7 +166,6 @@ def _msv_sweep(hp_i, eps_i, r_i, parity, mu_i, prior, inv_s2, qii, cross, scales
                                        inv_s2, qii, cross), out=flags[left])
     np.copyto(cur, prop, where=accept)
     np.copyto(eps_cur, eps_prop, where=accept)
-    return int(np.count_nonzero(accept))
 
 
 class _PhiWalk(NamedTuple):
@@ -212,7 +211,7 @@ class _Run(NamedTuple):
     Each row of ``draws`` is mu (p), phi (p), sigma2 (p), the free
     correlations, then each asset's latent states at ``sites`` (when
     stored).  ``rates`` holds the h and correlation acceptance rates and
-    per-asset lists for mu, phi and sigma2.
+    per-asset lists for mu, phi and sigma2, each read off its frozen scales.
     """
 
     draws: np.ndarray
@@ -223,11 +222,11 @@ class _Run(NamedTuple):
 def _scalar_steps(h_i, state, distinct, walk: _PhiWalk, priors, scales, rng):
     """Random-walk updates of mu, then phi's walk coordinate x, then log sigma_eta**2.
 
-    ``state`` is (mu, x, sigma2, prior) of one asset; returns its update
-    and the three accept flags.  One pass over the path gives x'Qx and
-    resid'w at the current mu; after it the mu and sigma_eta**2 targets
-    are O(1), and each phi proposal costs one pass with its own law.
-    Targets drop terms that cancel in the step's log-ratio.
+    ``state`` is (mu, x, sigma2, prior) of one asset; returns its update.
+    One pass over the path gives x'Qx and resid'w at the current mu; after
+    it the mu and sigma_eta**2 targets are O(1), and each phi proposal
+    costs one pass with its own law.  Targets drop terms that cancel in
+    the step's log-ratio.
     """
     mu, x, s2, prior = state
     half_inv_s2 = 0.5 / s2
@@ -276,7 +275,7 @@ def _scalar_steps(h_i, state, distinct, walk: _PhiWalk, priors, scales, rng):
     u_step = adaptive_rwm_scalar(math.log(s2), u_target, scales[2], rng)
     if u_step.accepted:
         s2 = math.exp(u_step.value)
-    return (mu, x, s2, prior), [mu_step.accepted, x_step.accepted, u_step.accepted]
+    return mu, x, s2, prior
 
 
 def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
@@ -317,30 +316,23 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
     sites = _latent_sites(length, config.latent_stride)
     n_cols = 3 * p + p * (p - 1) // 2 + (p * sites.size if config.store_latent else 0)
     draws = np.empty((config.n_draws, n_cols))
-    row = 0
-    h_accepts = corr_accepts = tracked_iters = 0
-    scalar_accepts = np.zeros((3, p), dtype=int)  # mu, phi, sigma2
 
     for it in range(1, config.n_iterations + 1):
-        tracking = it > config.burn_in
         if it == config.burn_in + 1:
             for scale in all_scales:
                 scale.freeze()
-        h_acc = 0
         for i in range(p):
             # a lone asset has no cross term: it would subtract exact zeros
             cross = prec[i] @ eps - prec[i, i] * eps[i] if p > 1 else None
             mu_i, _, s2_i, prior = states[i]
             for parity in parities:
-                h_acc += _msv_sweep(hp[i], eps[i], r[i], parity, mu_i, prior, 1.0 / s2_i,
-                                    float(prec[i, i]), cross, h_scales[i], h_flags, rng)
+                _msv_sweep(hp[i], eps[i], r[i], parity, mu_i, prior, 1.0 / s2_i,
+                           float(prec[i, i]), cross, h_scales[i], h_flags, rng)
             h_scales[i].observe(h_flags)
 
         for i in range(p):
-            states[i], accepted = _scalar_steps(h[i], states[i], distinct, walk, priors,
-                                                scalar_scales[i], rng)
-            if tracking:
-                scalar_accepts[:, i] += accepted
+            states[i] = _scalar_steps(h[i], states[i], distinct, walk, priors,
+                                      scalar_scales[i], rng)
 
         # with one asset there is no free correlation, and the step would
         # still draw from the stream
@@ -360,28 +352,37 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
             block = correlation_block_step(corr, corr_scale, rng, proposal_target,
                                            corr_target(logdet, prec))
             if block.accepted:
-                corr = block.matrix
+                corr = block.value
                 logdet, prec = proposed
-            corr_accepts += block.accepted if tracking else 0
 
-        if tracking:
-            tracked_iters += 1
-            h_accepts += h_acc
-            if (it - config.burn_in) % config.thin == 0:
-                mu, x, sigma2, _ = zip(*states)
-                parts = [mu, [walk.to_phi(v) for v in x], sigma2, lower_entries(corr)]
-                if config.store_latent:
-                    parts.append(h[:, sites].ravel())
-                draws[row] = np.concatenate(parts)
-                row += 1
+        if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
+            mu, x, sigma2, _ = zip(*states)
+            parts = [mu, [walk.to_phi(v) for v in x], sigma2, lower_entries(corr)]
+            if config.store_latent:
+                parts.append(h[:, sites].ravel())
+            draws[(it - config.burn_in) // config.thin - 1] = np.concatenate(parts)
         if config.progress_every and it % config.progress_every == 0:
             print(f"iteration {it}/{config.n_iterations}", file=sys.stderr)
 
-    denom = max(tracked_iters, 1)
-    rates = {"h": h_accepts / (denom * p * length), "correlation": corr_accepts / denom}
-    for name, counts in zip(("mu", "phi", "sigma2"), scalar_accepts):
-        rates[name] = [int(count) / denom for count in counts]
+    # each tally holds whole numbers, so each rate is the exact ratio rounded once
+    kept = config.n_iterations - config.burn_in
+    rates = {"h": float(sum(scale.accepted.sum() for scale in h_scales)) / (kept * p * length),
+             "correlation": float(corr_scale.accepted[0]) / kept}
+    for name, scales in zip(("mu", "phi", "sigma2"), zip(*scalar_scales)):
+        rates[name] = [float(scale.accepted[0]) / kept for scale in scales]
     return _Run(draws, sites, rates)
+
+
+def _chain(run: _Run, names: list[str], config: McmcConfig):
+    """A run's chain and its summary.  The first 3p ``names`` are the mu,
+    phi and sigma columns, and each keys its scale's acceptance rate; "h"
+    keys the latent sites' and, for p > 1, "correlation" the block's."""
+    mu = run.rates["mu"]
+    rates = dict(zip(names, mu + run.rates["phi"] + run.rates["sigma2"]), h=run.rates["h"])
+    if len(mu) > 1:
+        rates["correlation"] = run.rates["correlation"]
+    chain = McmcChain(tuple(names), run.draws, rates, config)
+    return chain, summarize(chain)
 
 
 def _fit_data(returns, gaps, multivariate: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -416,15 +417,11 @@ def fit_irsv(returns, gaps, priors: IrSvPriors | None = None,
     config = config or DEFAULT_CONFIG
     r, g = _fit_data(returns, gaps, multivariate=False)
     run = _sample(r, g, _irsv_walk(priors), priors, config)
-    draws = run.draws
-    draws[:, 2] = np.sqrt(draws[:, 2])
+    run.draws[:, 2] = np.sqrt(run.draws[:, 2])
     names = ["mu", "phi", "sigma_eta"]
     if config.store_latent:
         names += [f"h_{j}" for j in run.sites]
-    rates = {"h": run.rates["h"], "mu": run.rates["mu"][0], "phi": run.rates["phi"][0],
-             "sigma_eta": run.rates["sigma2"][0]}
-    chain = McmcChain(tuple(names), draws, rates, config)
-    return chain, summarize(chain)
+    return _chain(run, names, config)
 
 
 def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
@@ -445,12 +442,7 @@ def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
              + [f"sigma2_{i}" for i in assets] + correlation_names(p))
     if config.store_latent:
         names += [f"h{i}_{j}" for i in assets for j in run.sites]
-    rates = {"h": run.rates["h"], "correlation": run.rates["correlation"]}
-    for i in assets:
-        rates.update({f"mu_{i}": run.rates["mu"][i - 1], f"phi_{i}": run.rates["phi"][i - 1],
-                      f"sigma2_{i}": run.rates["sigma2"][i - 1]})
-    chain = McmcChain(tuple(names), run.draws, rates, config)
-    return chain, summarize(chain)
+    return _chain(run, names, config)
 
 
 def asset_draws(chain: McmcChain, model: str, n_assets: int,

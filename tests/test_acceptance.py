@@ -338,7 +338,7 @@ def test_criterion_8_prior_sampling():
         if i == n // 10:
             scale.freeze()
         corr = correlation_block_step(corr, scale, rng,
-                                      lambda R, chol: lkj_log_density(R, eta)).matrix
+                                      lambda R, chol: lkj_log_density(R, eta)).value
         rhos[i] = corr[1, 0]
     rhos = rhos[n // 10:]
     if not abs(rhos.mean()) < 3.0 * mc_se(rhos):

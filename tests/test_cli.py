@@ -652,8 +652,14 @@ def test_forecast_without_its_sidecar_exits_1(tmp_path, capsys, monkeypatch, pip
     assert "fit/rep000.chain.csv.meta.json" in capsys.readouterr().err
 
 
-def test_forecast_of_swapped_asset_columns_exits_2(tmp_path, capsys, monkeypatch):
-    # the fit's assets, in the fit's order, must be the data file's
+MSV_FORECAST = ("forecast", "--model", "irmsv", "--chain", "fit/rep000.chain.csv",
+                "--data", "sim/rep000.csv", "--holdout", 20, "--horizons", "1,5")
+
+
+@pytest.fixture
+def msv_run(tmp_path, monkeypatch):
+    """A two-asset simulation, its irmsv fit and its forecast ``fc``, every
+    path relative to the current directory."""
     monkeypatch.chdir(tmp_path)
     write_json(tmp_path / "msv.json", {"mu": [-9.0, -9.5], "phi": [0.7, 0.5],
                                        "sigma": [1.0, 0.9],
@@ -662,16 +668,31 @@ def test_forecast_of_swapped_asset_columns_exits_2(tmp_path, capsys, monkeypatch
                "--seed", 5, "--out", "sim") == 0
     assert run("fit", "--model", "irmsv", "--data", "sim/rep000.csv", "--iters", 20,
                "--burnin", 10, "--holdout", 20, "--out", "fit") == 0
-    forecast = ("forecast", "--model", "irmsv", "--chain", "fit/rep000.chain.csv",
-                "--data", "sim/rep000.csv", "--holdout", 20, "--horizons", "1,5")
-    assert run(*forecast, "--out", "fc") == 0
+    assert run(*MSV_FORECAST, "--out", "fc") == 0
+
+
+def test_forecast_of_swapped_asset_columns_exits_2(capsys, msv_run):
+    # the fit's assets, in the fit's order, must be the data file's
     data = Path("sim/rep000.csv")
     rows = [line.split(",") for line in data.read_text().splitlines()]
     data.write_text("".join(",".join(row[:2] + [row[3], row[2]]) + "\n" for row in rows))
     capsys.readouterr()
-    assert run(*forecast, "--out", "swapped") == 2
+    assert run(*MSV_FORECAST, "--out", "swapped") == 2
     assert ("fit/rep000.chain.csv.meta.json: asset_ids: the chain was fit with ['s1', 's2']"
             in capsys.readouterr().err)
+
+
+def test_duplicate_asset_columns_exit_2_naming_the_file(capsys, msv_run):
+    # with two r_s1 columns, compare would score asset 1's forecasts against asset 2's returns
+    data = Path("sim/rep000.csv")
+    data.write_text(data.read_text().replace("r_s1,r_s2", "r_s1,r_s1", 1))
+    capsys.readouterr()
+    for argv in [("fit", "--model", "irmsv", "--data", data, "--iters", 20, "--burnin", 10,
+                  "--holdout", 20), MSV_FORECAST,
+                 ("compare", "--forecasts", "fc/forecast.csv", "--data", data,
+                  "--holdout", 20)]:
+        assert run(*argv, "--out", "out") == 2
+        assert f"error: {data}: duplicate asset id 's1'\n" in capsys.readouterr().err
 
 
 def test_forecast_of_a_chain_without_the_last_site_names_the_chain(tmp_path, capsys,
@@ -718,6 +739,36 @@ def test_malformed_horizons_name_the_option(tmp_path, capsys, monkeypatch, pipel
     assert run(*argv, "--out", "out") == 2
     assert (f"error: --horizons must be a comma-separated list of positive integers, "
             f"not {text!r}\n" in capsys.readouterr().err)
+
+
+FIT_FAULTS = {
+    "two-columns": (np.full((2, 60), 0.01), "returns must be one series: a (T,) or (1, T) array",
+                    "irgarch expects exactly one return column", 2),
+    "few-rows": (np.full((1, 8), 0.01), "need at least 10 observations to fit",
+                 "need one-dimensional returns, at least 50 of them, to fit", 2),
+    "overflow": (np.concatenate([np.full(3, 0.01), [1e200], np.full(56, 0.01)])[None, :],
+                 "the return in row 4 (1e+200) overflows when squared",
+                 "the return in row 4 (1e+200) overflows when squared", 3),
+}
+
+
+# irgarch fits every series in one process, in one batched fit_ml call
+@pytest.mark.parametrize("model, threads", [("irsv", 1), ("irsv", 2), ("irgarch", None)])
+@pytest.mark.parametrize("fault", sorted(FIT_FAULTS))
+def test_fit_errors_name_the_data_file_at_fault(tmp_path, capsys, fault, model, threads):
+    r, mcmc_message, ml_message, code = FIT_FAULTS[fault]
+    for name in ("good", "bad"):
+        (tmp_path / name).mkdir()
+    rng = np.random.default_rng(4)
+    good = _returns_file(tmp_path / "good", 0.01 * rng.standard_normal((1, 60)))
+    bad = _returns_file(tmp_path / "bad", r)
+    argv = ["fit", "--model", model, "--data", good, bad, "--out", tmp_path / "out"]
+    if threads:
+        argv += ["--iters", 20, "--burnin", 10, "--threads", threads]
+    capsys.readouterr()
+    assert run(*argv) == code
+    message = mcmc_message if model == "irsv" else ml_message
+    assert f"error: {bad}: {message}\n" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

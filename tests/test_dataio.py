@@ -166,6 +166,25 @@ class TestReturnsRoundTrip:
         np.testing.assert_array_equal(r, [[0.01, -0.02]])
         assert assets == ["s1"]
 
+    @pytest.mark.parametrize("columns, message", [("r_a,r_a", "duplicate asset id 'a'"),
+                                                  ("r_,r_b", "empty asset id ''")])
+    def test_duplicate_or_empty_asset_id_names_file_and_id(self, tmp_path, columns, message):
+        path = _write(tmp_path / "returns.csv", (
+            f"timestamp,gap,{columns}\n"
+            "0.0,,0.1,0.2\n"
+            "1.0,1.0,0.3,0.4\n"
+        ))
+        with pytest.raises(ValueError, match=f"^{path}: {message}$"):
+            read_returns(path)
+
+    @pytest.mark.parametrize("assets, message", [(["a", "a"], "duplicate asset id 'a'"),
+                                                 (["", "b"], "empty asset id ''")])
+    def test_duplicate_or_empty_asset_id_not_written(self, tmp_path, assets, message):
+        path = tmp_path / "returns.csv"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_returns(path, [0.0, 1.0], np.ones((2, 2)), assets)
+        assert not path.exists()
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False, allow_infinity=False),
                     min_size=2, max_size=30))

@@ -70,7 +70,8 @@ class TestParams:
     @pytest.mark.parametrize("mu, phi, sigma, message", [
         ([0.0, 0.0], [0.5, -0.5], [1.0, 1.0], "asset 2: phi must satisfy 0 < phi < 1"),
         ([0.0, np.nan], [0.5, 0.5], [1.0, 1.0], "asset 2: mu must be finite"),
-        ([0.0, 0.0], [0.5, 0.5], [0.0, 1.0], "asset 1: sigma_eta must be positive"),
+        ([0.0, 0.0], [0.5, 0.5], [0.0, 1.0], "asset 1: sigma must be positive"),
+        ([0.0, 0.0], [0.5, 0.5], [1.0, np.inf], "asset 2: sigma must be finite"),
     ])
     def test_each_asset_checked_by_its_univariate_params(self, mu, phi, sigma, message):
         corr = CorrelationMatrix([[1.0, 0.2], [0.2, 1.0]])

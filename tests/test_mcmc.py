@@ -113,7 +113,36 @@ class TestAdaptiveScale:
             scale.observe(flags)
         assert scale.values.tolist() == self.START
 
-    @pytest.mark.parametrize("values", [0.0, -1.0, [1.0, 0.0], [[1.0]]])
+    def test_a_frozen_scale_counts_the_accepts_fed_since_freeze(self):
+        rng = np.random.default_rng(11)
+        scale = AdaptiveScale(self.START, self.TARGET, interval=5)
+        for flags in rng.random((12, 3)) < 0.5:
+            scale.observe(flags)
+        scale.freeze()
+        values = scale.values.tolist()
+        fed = rng.random((40, 3)) < [0.1, 0.44, 0.9]
+        for flags in fed:
+            scale.observe(flags)
+        assert scale.accepted.tolist() == fed.sum(axis=0).tolist()
+        assert scale.values.tolist() == values
+
+    def test_a_scale_frozen_before_any_observation_counts_every_flag(self):
+        scale = AdaptiveScale(0.5, self.TARGET, interval=1)
+        scale.freeze()
+        for flag in [True, False, True, True, False]:
+            scale.observe(flag)
+        assert scale.accepted.tolist() == [3.0]
+
+    def test_the_tally_restarts_at_freeze_not_at_the_last_round(self):
+        scale = AdaptiveScale(0.5, self.TARGET, interval=4)
+        for _ in range(6):  # one round, then two accepts that no round has used
+            scale.observe(True)
+        scale.freeze()
+        for flag in [False, True, False]:
+            scale.observe(flag)
+        assert scale.accepted.tolist() == [1.0]
+
+    @pytest.mark.parametrize("values",[0.0, -1.0, [1.0, 0.0], [[1.0]]])
     def test_non_positive_or_non_vector_scales_rejected(self, values):
         with pytest.raises(ValueError, match="initial scales"):
             AdaptiveScale(values, self.TARGET)
@@ -190,7 +219,7 @@ class TestCorrelationBlockStep:
         draws = np.empty(100_000)
         for i in range(draws.size):
             step = correlation_block_step(corr, scale, rng, lambda R, chol: 0.0)
-            corr = step.matrix
+            corr = step.value
             draws[i] = corr[1, 0]
         kept = draws[5000:]
         ks = stats.kstest(kept, stats.uniform(loc=-1.0, scale=2.0).cdf)
@@ -203,7 +232,7 @@ class TestCorrelationBlockStep:
         for _ in range(500):
             step = correlation_block_step(corr, scale, rng,
                                           lambda R, chol: -0.5 * float(np.sum(R * R)))
-            corr = step.matrix
+            corr = step.value
             np.testing.assert_array_equal(corr, corr.T)
             np.testing.assert_array_equal(np.diag(corr), np.ones(3))
             np.linalg.cholesky(corr)
