@@ -44,6 +44,7 @@ from irvol.dataio import (
     read_returns,
     read_ticks,
     write_chain,
+    write_forecasts,
     write_json,
     write_returns,
     write_summary,
@@ -284,22 +285,20 @@ def _drop_holdout(matrix: np.ndarray, gaps: np.ndarray, holdout: int):
 def _fit_one_mcmc(model: str, data_path: str, priors, config_kwargs: dict, holdout: int,
                   master_seed: int, index: int, out_dir: str) -> list[str]:
     timestamps, gaps, matrix, assets = read_returns(data_path)
-    matrix, gaps = _drop_holdout(matrix, gaps, holdout)
     seed = int(_replicate_seed(master_seed, index).generate_state(1)[0] % 2**31)
     config = McmcConfig(rng_seed=seed, **config_kwargs)
-    gaps, scale_factor = scale_gaps(gaps)
     stem = Path(data_path).stem
     chain_path = Path(out_dir) / f"{stem}.chain.csv"
     summary_path = Path(out_dir) / f"{stem}.summary.csv"
-    extra = {"model": model, "gap_scale_factor": scale_factor,
-             "n_obs_fit": matrix.shape[1], "asset_ids": assets,
-             "data_file": str(data_path)}
     fit = fit_irsv if model == "irsv" else fit_irmsv
     try:
+        matrix, gaps = _drop_holdout(matrix, gaps, holdout)
+        gaps, scale_factor = scale_gaps(gaps)
         chain, summary = fit(matrix, gaps, priors, config)
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"{data_path}: {exc}") from None
-    write_chain(chain, chain_path, extra_meta=extra)
+    write_chain(chain, chain_path, model=model, gap_scale_factor=scale_factor,
+                n_obs_fit=matrix.shape[1], asset_ids=assets, data_file=str(data_path))
     write_summary(summary, summary_path)
     return [str(chain_path), str(chain_meta_path(chain_path)), str(summary_path)]
 
@@ -328,9 +327,12 @@ def cmd_fit(args) -> None:
         series = []
         for data_path in o["data"]:
             timestamps, gaps, matrix, assets = read_returns(data_path)
-            if matrix.shape[0] != 1:
-                raise ValueError(f"{data_path}: {model} expects exactly one return column")
-            matrix, gaps = _drop_holdout(matrix, gaps, o["holdout"])
+            try:
+                if matrix.shape[0] != 1:
+                    raise ValueError(f"{model} expects exactly one return column")
+                matrix, gaps = _drop_holdout(matrix, gaps, o["holdout"])
+            except ValueError as exc:
+                raise ValueError(f"{data_path}: {exc}") from None
             series.append((matrix[0], gaps))
         try:
             fits = fit_ml(series, arch_only=(model == "irarch"))
@@ -409,12 +411,7 @@ def cmd_forecast(args) -> None:
                          float(fc.h_q975[k]), float(fc.r2_mean[k]), vol * SQRT_2_OVER_PI, vol])
 
     path = out_dir / "forecast.csv"
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["model", "asset", "horizon", "h_mean", "h_q2.5", "h_q97.5",
-                         "r2_forecast", "absr_forecast", "vol_forecast"])
-        for row in rows:
-            writer.writerow([row[0], row[1], row[2]] + [repr(v) for v in row[3:]])
+    write_forecasts(path, rows)
     _write_manifest(out_dir, "forecast", o, [o["chain"], o["data"]], [str(path)], started)
 
 

@@ -20,11 +20,12 @@ import numpy as np
 from irvol.core import TIME_TOL, TickSeries
 from irvol.mcmc.chain import McmcChain, McmcConfig, ParameterSummary
 
-CHAIN_FORMAT_VERSION = 1
+CHAIN_FORMAT_VERSION = 2
 TICK_HEADER = ["asset", "timestamp", "price"]
-# the forecast-file columns that ``compare`` reads
-FORECAST_COLUMNS = ("model", "asset", "horizon", "r2_forecast", "absr_forecast",
-                    "vol_forecast")
+# a forecast file's columns; ``read_forecasts`` reads FORECAST_COLUMNS of them
+FORECAST_HEADER = ("model", "asset", "horizon", "h_mean", "h_q2.5", "h_q97.5",
+                   "r2_forecast", "absr_forecast", "vol_forecast")
+FORECAST_COLUMNS = FORECAST_HEADER[:3] + FORECAST_HEADER[6:]
 
 
 def _fmt(value: float) -> str:
@@ -226,14 +227,22 @@ def read_json(path) -> dict:
     return payload
 
 
-def write_chain(chain: McmcChain, path, extra_meta: dict | None = None) -> None:
+def _check_scale_factor(factor) -> None:
+    if type(factor) not in (int, float) or not 0.0 < factor < np.inf:
+        raise ValueError(f"gap_scale_factor: {factor!r} is not a positive number")
+
+
+def write_chain(chain: McmcChain, path, *, model: str, gap_scale_factor: float,
+                n_obs_fit: int, asset_ids: Sequence[str], data_file: str) -> None:
     """Write chain draws to CSV plus a JSON metadata sidecar.
 
     The sidecar (<path>.meta.json) echoes the names, config, seed, and
-    acceptance rates; ``extra_meta`` entries are merged in.  ``read_chain``
-    needs a ``gap_scale_factor`` among them: the factor the fit's gaps
-    were divided by.
+    acceptance rates, and records the fit: its model, the factor its gaps
+    were divided by, its number of observations, its asset ids and the
+    data file it read, so ``read_chain`` can check the chain against the
+    run that reads it.
     """
+    _check_scale_factor(gap_scale_factor)
     path = Path(path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -248,7 +257,11 @@ def write_chain(chain: McmcChain, path, extra_meta: dict | None = None) -> None:
         "acceptance_rates": {k: float(v) for k, v in chain.acceptance_rates.items()},
         "config": None if config is None else vars(config),
         "seed": None if config is None else config.rng_seed,
-        **(extra_meta or {}),
+        "model": model,
+        "gap_scale_factor": gap_scale_factor,
+        "n_obs_fit": n_obs_fit,
+        "asset_ids": list(asset_ids),
+        "data_file": data_file,
     })
 
 
@@ -286,9 +299,7 @@ def read_chain(path, **expect) -> tuple[McmcChain, dict]:
             raise ValueError("sidecar names disagree with the chain header")
         rates = {k: float(v) for k, v in meta.get("acceptance_rates", {}).items()}
         config = McmcConfig(**meta["config"]) if meta.get("config") else None
-        factor = _entry(meta, "gap_scale_factor")
-        if type(factor) not in (int, float) or not 0.0 < factor < np.inf:
-            raise ValueError(f"gap_scale_factor: {factor!r} is not a positive number")
+        _check_scale_factor(_entry(meta, "gap_scale_factor"))
         for key, wanted in expect.items():
             if _entry(meta, key) != wanted:
                 raise ValueError(f"{key}: the chain was fit with {meta[key]!r}, "
@@ -327,6 +338,17 @@ def _forecast_parser(header):
                 **dict(zip(FORECAST_COLUMNS[3:], _floats(values)))}
 
     return parse
+
+
+def write_forecasts(path, rows) -> None:
+    """Write a forecast file: ``FORECAST_HEADER``, then per entry of ``rows``
+    its model, asset and horizon and its six forecast values in header
+    order, each as its ``repr``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(FORECAST_HEADER)
+        for model, asset, horizon, *values in rows:
+            writer.writerow([model, asset, horizon] + [_fmt(v) for v in values])
 
 
 def read_forecasts(path) -> list[dict]:

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+SUMMARY_PROBS = (0.025, 0.975)  # the summary's q2.5 and q97.5 columns
+
 
 @dataclass(frozen=True)
 class McmcConfig:
@@ -14,18 +16,15 @@ class McmcConfig:
     Draws are stored at iterations burn_in + thin, burn_in + 2*thin, ...,
     n_iterations, so (n_iterations - burn_in) must be divisible by thin.
     ``latent_stride`` controls which latent sites are stored (every k-th
-    plus the final one); ``store_latent=False`` drops them entirely.
+    plus the final one).
     """
 
     n_iterations: int
     burn_in: int
     thin: int = 1
     rng_seed: int = 0
-    target_accept_scalar: float = 0.44
-    target_accept_block: float = 0.234
     adapt_interval: int = 200
     latent_stride: int = 10
-    store_latent: bool = True
     progress_every: int = 0
 
     def __post_init__(self):
@@ -37,10 +36,6 @@ class McmcConfig:
             raise ValueError("thin must be at least 1")
         if (self.n_iterations - self.burn_in) % self.thin != 0:
             raise ValueError("(n_iterations - burn_in) must be divisible by thin")
-        if not (0.0 < self.target_accept_scalar < 1.0):
-            raise ValueError("target_accept_scalar must lie in (0, 1)")
-        if not (0.0 < self.target_accept_block < 1.0):
-            raise ValueError("target_accept_block must lie in (0, 1)")
         if self.adapt_interval < 1:
             raise ValueError("adapt_interval must be at least 1")
         if self.latent_stride < 1:
@@ -131,23 +126,20 @@ def effective_sample_size(x) -> float:
     return float(min(n, n / iact))
 
 
-def summarize(chain: McmcChain, probs=(0.025, 0.975)) -> dict[str, ParameterSummary]:
-    """Mean, sd, interpolated quantiles, and ESS for every chain column, in
-    column order."""
+def summarize(chain: McmcChain) -> dict[str, ParameterSummary]:
+    """Mean, sd, the interpolated 2.5% and 97.5% quantiles, and ESS for every
+    chain column, in column order."""
     if chain.n_draws < 1:
         raise ValueError("cannot summarize an empty chain")
-    probs = tuple(float(q) for q in probs)
-    if any(not (0.0 <= q <= 1.0) for q in probs):
-        raise ValueError("quantile probabilities must lie in [0, 1]")
     out: dict[str, ParameterSummary] = {}
     for name in chain.names:
         col = chain.column(name)
         sd = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
-        qs = np.quantile(col, probs, method="linear") if probs else np.array([])
+        qs = np.quantile(col, SUMMARY_PROBS, method="linear")
         out[name] = ParameterSummary(
             mean=float(col.mean()),
             sd=sd,
-            quantiles={q: float(v) for q, v in zip(probs, qs)},
+            quantiles={q: float(v) for q, v in zip(SUMMARY_PROBS, qs)},
             ess=effective_sample_size(col),
         )
     return out

@@ -26,7 +26,8 @@ accepted phi.  One chain is a strictly sequential sweep per iteration:
 * for p > 1, all free correlations are updated jointly by a block
   random walk.
 
-Proposal scales adapt toward fixed acceptance targets during burn-in and
+Proposal scales adapt toward the fixed acceptance targets
+``TARGET_ACCEPT_SCALAR`` and ``TARGET_ACCEPT_BLOCK`` during burn-in and
 are frozen afterwards.  Chains are bit-reproducible for a fixed seed.
 ``fit_irsv`` and ``fit_irmsv`` take the same (returns, gaps), check them
 in one place, run the engine and name its columns; ``asset_draws`` reads
@@ -60,6 +61,9 @@ from irvol.mcmc.samplers import AdaptiveScale, adaptive_rwm_scalar, correlation_
 H_INIT_FLOOR = 1e-12  # added to r^2 before the log when initializing h
 MU_INIT_OFFSET = 1.27  # rough mean of -log(chi2_1), recentres log r^2 on mu
 DEFAULT_CONFIG = McmcConfig(n_iterations=20_000, burn_in=5_000, thin=10)  # a fit given none
+# the optimal random-walk acceptance rates (Roberts, Gelman & Gilks 1997; Roberts & Rosenthal 2001)
+TARGET_ACCEPT_SCALAR = 0.44
+TARGET_ACCEPT_BLOCK = 0.234
 
 
 def _parities(length: int) -> list[tuple[slice, slice, slice]]:
@@ -209,9 +213,9 @@ class _Run(NamedTuple):
     """Engine output.
 
     Each row of ``draws`` is mu (p), phi (p), sigma2 (p), the free
-    correlations, then each asset's latent states at ``sites`` (when
-    stored).  ``rates`` holds the h and correlation acceptance rates and
-    per-asset lists for mu, phi and sigma2, each read off its frozen scales.
+    correlations, then each asset's latent states at ``sites``.  ``rates``
+    holds the h and correlation acceptance rates and per-asset lists for
+    mu, phi and sigma2, each read off its frozen scales.
     """
 
     draws: np.ndarray
@@ -305,17 +309,16 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
     logdet = 0.0  # and its log-determinant
 
     parities = _parities(length)
-    target, interval = config.target_accept_scalar, config.adapt_interval
+    target, interval = TARGET_ACCEPT_SCALAR, config.adapt_interval
     h_scales = [AdaptiveScale(np.ones(length), target, interval) for _ in range(p)]
     h_flags = np.empty(length, dtype=bool)  # one asset's latent accept flags of a sweep
     scalar_scales = [[AdaptiveScale(value, target, interval) for value in (0.2, walk.scale, 0.3)]
                      for _ in range(p)]
-    corr_scale = AdaptiveScale(0.05, config.target_accept_block, interval)
+    corr_scale = AdaptiveScale(0.05, TARGET_ACCEPT_BLOCK, interval)
     all_scales = h_scales + sum(scalar_scales, []) + [corr_scale]
 
     sites = _latent_sites(length, config.latent_stride)
-    n_cols = 3 * p + p * (p - 1) // 2 + (p * sites.size if config.store_latent else 0)
-    draws = np.empty((config.n_draws, n_cols))
+    draws = np.empty((config.n_draws, 3 * p + p * (p - 1) // 2 + p * sites.size))
 
     for it in range(1, config.n_iterations + 1):
         if it == config.burn_in + 1:
@@ -357,10 +360,9 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
 
         if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
             mu, x, sigma2, _ = zip(*states)
-            parts = [mu, [walk.to_phi(v) for v in x], sigma2, lower_entries(corr)]
-            if config.store_latent:
-                parts.append(h[:, sites].ravel())
-            draws[(it - config.burn_in) // config.thin - 1] = np.concatenate(parts)
+            draws[(it - config.burn_in) // config.thin - 1] = np.concatenate(
+                [mu, [walk.to_phi(v) for v in x], sigma2, lower_entries(corr),
+                 h[:, sites].ravel()])
         if config.progress_every and it % config.progress_every == 0:
             print(f"iteration {it}/{config.n_iterations}", file=sys.stderr)
 
@@ -418,10 +420,7 @@ def fit_irsv(returns, gaps, priors: IrSvPriors | None = None,
     r, g = _fit_data(returns, gaps, multivariate=False)
     run = _sample(r, g, _irsv_walk(priors), priors, config)
     run.draws[:, 2] = np.sqrt(run.draws[:, 2])
-    names = ["mu", "phi", "sigma_eta"]
-    if config.store_latent:
-        names += [f"h_{j}" for j in run.sites]
-    return _chain(run, names, config)
+    return _chain(run, ["mu", "phi", "sigma_eta"] + [f"h_{j}" for j in run.sites], config)
 
 
 def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
@@ -439,9 +438,8 @@ def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
     run = _sample(r, g, _irmsv_walk(priors), priors, config)
     assets = range(1, p + 1)
     names = ([f"mu_{i}" for i in assets] + [f"phi_{i}" for i in assets]
-             + [f"sigma2_{i}" for i in assets] + correlation_names(p))
-    if config.store_latent:
-        names += [f"h{i}_{j}" for i in assets for j in run.sites]
+             + [f"sigma2_{i}" for i in assets] + correlation_names(p)
+             + [f"h{i}_{j}" for i in assets for j in run.sites])
     return _chain(run, names, config)
 
 

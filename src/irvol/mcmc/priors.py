@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from irvol.core import LOG_2PI
 
 
@@ -60,16 +58,6 @@ def truncated_normal_logpdf(x: float, mean: float, variance: float,
     sd = math.sqrt(variance)
     mass = _std_normal_cdf((upper - mean) / sd) - _std_normal_cdf((lower - mean) / sd)
     return normal_logpdf(x, mean, variance) - math.log(mass)
-
-
-def lkj_log_density(corr_values: np.ndarray, eta: float) -> float:
-    """Unnormalized LKJ log-density (eta - 1) * log det R; -inf if not PD."""
-    try:
-        chol = np.linalg.cholesky(np.asarray(corr_values, dtype=float))
-    except np.linalg.LinAlgError:
-        return -math.inf
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return (eta - 1.0) * logdet
 
 
 @dataclass(frozen=True)

@@ -93,3 +93,13 @@ def transition_loglik(h: np.ndarray, mu: float, a: np.ndarray, v: np.ndarray) ->
     resid = h - mu
     resid[1:] -= a[1:] * (h[:-1] - mu)
     return -0.5 * float(np.sum(np.log(v) + resid * resid / v)) - 0.5 * v.size * LOG_2PI
+
+
+def lkj_log_density(corr_values: np.ndarray, eta: float) -> float:
+    """Unnormalized LKJ log-density (eta - 1) * log det R; -inf if not PD."""
+    try:
+        chol = np.linalg.cholesky(np.asarray(corr_values, dtype=float))
+    except np.linalg.LinAlgError:
+        return -math.inf
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return (eta - 1.0) * logdet

@@ -7,7 +7,7 @@ latent site's target here is the observation term plus the separate
 transitions into and out of the site, indexed by site; each scalar step
 re-evaluates the whole-path transition log-likelihood at both points;
 the correlation step factors every matrix again.  Only the proposal
-scales and the priors come from the package.
+scales, their acceptance targets and the priors come from the package.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ from reference_densities import transition_loglik
 
 from irvol.irmsv import corr_from_lower, lower_entries
 from irvol.irsv import gap_law
-from irvol.mcmc.fit import H_INIT_FLOOR, MU_INIT_OFFSET, _latent_sites
+from irvol.mcmc.fit import (
+    H_INIT_FLOOR,
+    MU_INIT_OFFSET,
+    TARGET_ACCEPT_BLOCK,
+    TARGET_ACCEPT_SCALAR,
+    _latent_sites,
+)
 from irvol.mcmc.priors import normal_logpdf, variance_logprior
 from irvol.mcmc.samplers import AdaptiveScale
 
@@ -144,18 +150,17 @@ def sample(r, gaps, walk, priors, config):
     trans = [_transition_arrays(float(phi[i]), gaps) for i in range(p)]
     v = [sigma2[i] * trans[i][1] for i in range(p)]
     parities = _parities(length)
-    target, interval = config.target_accept_scalar, config.adapt_interval
+    target, interval = TARGET_ACCEPT_SCALAR, config.adapt_interval
     h_scales = [AdaptiveScale(np.ones(length), target, interval) for _ in range(p)]
     h_flags = np.empty(length, dtype=bool)
     mu_scales = [AdaptiveScale(0.2, target, interval) for _ in range(p)]
     x_scales = [AdaptiveScale(walk.scale, target, interval) for _ in range(p)]
     u_scales = [AdaptiveScale(0.3, target, interval) for _ in range(p)]
-    corr_scale = AdaptiveScale(0.05, config.target_accept_block, interval)
+    corr_scale = AdaptiveScale(0.05, TARGET_ACCEPT_BLOCK, interval)
     all_scales = h_scales + mu_scales + x_scales + u_scales + [corr_scale]
 
     sites = _latent_sites(length, config.latent_stride)
-    n_cols = 3 * p + p * (p - 1) // 2 + (p * sites.size if config.store_latent else 0)
-    draws = np.empty((config.n_draws, n_cols))
+    draws = np.empty((config.n_draws, 3 * p + p * (p - 1) // 2 + p * sites.size))
     row = 0
     h_accepts = corr_accepts = tracked_iters = 0
     mu_accepts, phi_accepts, s2_accepts = [0] * p, [0] * p, [0] * p
@@ -235,10 +240,8 @@ def sample(r, gaps, walk, priors, config):
             tracked_iters += 1
             h_accepts += h_acc
             if (it - config.burn_in) % config.thin == 0:
-                parts = [mu, phi, sigma2, lower_entries(corr)]
-                if config.store_latent:
-                    parts.append(h[:, sites].ravel())
-                draws[row] = np.concatenate(parts)
+                draws[row] = np.concatenate([mu, phi, sigma2, lower_entries(corr),
+                                             h[:, sites].ravel()])
                 row += 1
         elif it == config.burn_in:
             for scale in all_scales:

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_densities import lkj_log_density
 
 from irvol import moments
 from irvol.cli import main as cli_main
@@ -27,7 +28,7 @@ from irvol.mcmc import (
     fit_irmsv,
     fit_irsv,
 )
-from irvol.mcmc.priors import beta_logpdf, lkj_log_density, variance_logprior
+from irvol.mcmc.priors import beta_logpdf, variance_logprior
 from irvol.refresh import refresh_times
 
 

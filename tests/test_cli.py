@@ -652,6 +652,25 @@ def test_forecast_without_its_sidecar_exits_1(tmp_path, capsys, monkeypatch, pip
     assert "fit/rep000.chain.csv.meta.json" in capsys.readouterr().err
 
 
+def test_forecast_of_a_version_1_sidecar_exits_2_naming_the_version(tmp_path, capsys,
+                                                                    monkeypatch, pipeline):
+    # a version-1 sidecar's config also held the acceptance targets and store_latent
+    shutil.copytree(pipeline, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    sidecar = Path("fit/rep000.chain.csv.meta.json")
+
+    def to_version_1(meta):
+        meta["format_version"] = 1
+        meta["config"].update(target_accept_scalar=0.44, target_accept_block=0.234,
+                              store_latent=True)
+
+    sidecar.write_text(_edit_json(to_version_1)(sidecar.read_text()))
+    capsys.readouterr()
+    assert run(*FORECAST, "--out", "out") == 2
+    assert (f"error: {sidecar}: unsupported chain format version 1\n"
+            in capsys.readouterr().err)
+
+
 MSV_FORECAST = ("forecast", "--model", "irmsv", "--chain", "fit/rep000.chain.csv",
                 "--data", "sim/rep000.csv", "--holdout", 20, "--horizons", "1,5")
 
@@ -741,14 +760,17 @@ def test_malformed_horizons_name_the_option(tmp_path, capsys, monkeypatch, pipel
             f"not {text!r}\n" in capsys.readouterr().err)
 
 
+# fault: (the bad file's returns, the irsv and irgarch messages, the exit code, --holdout)
 FIT_FAULTS = {
     "two-columns": (np.full((2, 60), 0.01), "returns must be one series: a (T,) or (1, T) array",
-                    "irgarch expects exactly one return column", 2),
+                    "irgarch expects exactly one return column", 2, 0),
     "few-rows": (np.full((1, 8), 0.01), "need at least 10 observations to fit",
-                 "need one-dimensional returns, at least 50 of them, to fit", 2),
+                 "need one-dimensional returns, at least 50 of them, to fit", 2, 0),
     "overflow": (np.concatenate([np.full(3, 0.01), [1e200], np.full(56, 0.01)])[None, :],
                  "the return in row 4 (1e+200) overflows when squared",
-                 "the return in row 4 (1e+200) overflows when squared", 3),
+                 "the return in row 4 (1e+200) overflows when squared", 3, 0),
+    "holdout": (np.full((1, 20), 0.01), "--holdout leaves no observations to fit",
+                "--holdout leaves no observations to fit", 2, 30),
 }
 
 
@@ -756,13 +778,14 @@ FIT_FAULTS = {
 @pytest.mark.parametrize("model, threads", [("irsv", 1), ("irsv", 2), ("irgarch", None)])
 @pytest.mark.parametrize("fault", sorted(FIT_FAULTS))
 def test_fit_errors_name_the_data_file_at_fault(tmp_path, capsys, fault, model, threads):
-    r, mcmc_message, ml_message, code = FIT_FAULTS[fault]
+    r, mcmc_message, ml_message, code, holdout = FIT_FAULTS[fault]
     for name in ("good", "bad"):
         (tmp_path / name).mkdir()
     rng = np.random.default_rng(4)
     good = _returns_file(tmp_path / "good", 0.01 * rng.standard_normal((1, 60)))
     bad = _returns_file(tmp_path / "bad", r)
-    argv = ["fit", "--model", model, "--data", good, bad, "--out", tmp_path / "out"]
+    argv = ["fit", "--model", model, "--data", good, bad, "--holdout", holdout,
+            "--out", tmp_path / "out"]
     if threads:
         argv += ["--iters", 20, "--burnin", 10, "--threads", threads]
     capsys.readouterr()

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from irvol.dataio import (
     read_chain,
+    read_forecasts,
     read_returns,
     read_ticks,
     write_chain,
+    write_forecasts,
     write_returns,
     write_summary,
 )
@@ -200,6 +202,11 @@ class TestReturnsRoundTrip:
         np.testing.assert_array_equal(np.array(values), r2[0])
 
 
+# the fit record write_chain requires, for a one-asset irsv fit of 80 observations
+FIT_RECORD = {"model": "irsv", "gap_scale_factor": 7.0, "n_obs_fit": 80, "asset_ids": ["s1"],
+              "data_file": "sim/rep000.csv"}
+
+
 def _small_chain(seed=0, config=None):
     rng = np.random.default_rng(seed)
     names = ("mu", "phi", "sigma_eta", "h_0", "h_9")
@@ -213,13 +220,29 @@ class TestChainRoundTrip:
         config = McmcConfig(1100, 100, 10, rng_seed=9)
         chain = _small_chain(seed=2, config=config)
         path = tmp_path / "chain.csv"
-        write_chain(chain, path, extra_meta={"gap_scale_factor": 7.0})
+        write_chain(chain, path, **FIT_RECORD)
         back, meta = read_chain(path)
         np.testing.assert_array_equal(chain.draws, back.draws)
         assert back.names == chain.names
         assert back.config == config
         assert back.acceptance_rates == chain.acceptance_rates
+        assert {key: meta[key] for key in FIT_RECORD} == FIT_RECORD
+
+    def test_reads_back_under_forecast_expectations(self, tmp_path):
+        # forecast expects the model, fit length and assets of the run that reads it
+        path = tmp_path / "chain.csv"
+        write_chain(_small_chain(config=McmcConfig(200, 100, 1)), path, **FIT_RECORD)
+        _, meta = read_chain(path, model="irsv", n_obs_fit=80, asset_ids=["s1"])
         assert meta["gap_scale_factor"] == 7.0
+        with pytest.raises(ValueError, match="n_obs_fit"):
+            read_chain(path, model="irsv", n_obs_fit=81, asset_ids=["s1"])
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("inf"), float("nan"), "7"])
+    def test_bad_scale_factor_not_written(self, tmp_path, factor):
+        path = tmp_path / "chain.csv"
+        with pytest.raises(ValueError, match="gap_scale_factor"):
+            write_chain(_small_chain(), path, **dict(FIT_RECORD, gap_scale_factor=factor))
+        assert not path.exists()
 
     def test_awkward_floats(self, tmp_path):
         names = ("x",)
@@ -227,12 +250,12 @@ class TestChainRoundTrip:
                            [2.2250738585072014e-308]])
         chain = McmcChain(names, values)
         path = tmp_path / "chain.csv"
-        write_chain(chain, path, extra_meta={"gap_scale_factor": 1.0})
+        write_chain(chain, path, **FIT_RECORD)
         np.testing.assert_array_equal(read_chain(path)[0].draws, values)
 
     def test_missing_sidecar_rejected(self, tmp_path):
         path = tmp_path / "chain.csv"
-        write_chain(_small_chain(), path, extra_meta={"gap_scale_factor": 1.0})
+        write_chain(_small_chain(), path, **FIT_RECORD)
         (tmp_path / "chain.csv.meta.json").unlink()
         with pytest.raises(FileNotFoundError, match="chain.csv.meta.json"):
             read_chain(path)
@@ -245,10 +268,10 @@ class TestChainRoundTrip:
     def test_unknown_version_rejected(self, tmp_path):
         chain = _small_chain()
         path = tmp_path / "chain.csv"
-        write_chain(chain, path)
+        write_chain(chain, path, **FIT_RECORD)
         meta_path = tmp_path / "chain.csv.meta.json"
         meta_path.write_text(meta_path.read_text().replace(
-            '"format_version": 1', '"format_version": 99'))
+            '"format_version": 2', '"format_version": 99'))
         with pytest.raises(ValueError, match="version"):
             read_chain(path)
 
@@ -280,3 +303,23 @@ class TestWriteSummary:
         chain = McmcChain(("µ",), np.zeros((5, 1)))
         with pytest.raises(ValueError, match="ASCII"):
             write_summary(summarize(chain), tmp_path / "s.csv")
+
+
+class TestForecastRoundTrip:
+    ROWS = [["irsv", "s1", 1, -9.1, -10.3, -7.9, 1.2e-4, 0.0087, 0.0109],
+            ["irsv", "s1", 5, -9.0, -10.9, -7.1, 0.1, 1 / 3, 2.2250738585072014e-308]]
+
+    def test_file_layout(self, tmp_path):
+        path = tmp_path / "forecast.csv"
+        write_forecasts(path, self.ROWS)
+        assert path.read_text().splitlines() == [
+            "model,asset,horizon,h_mean,h_q2.5,h_q97.5,r2_forecast,absr_forecast,vol_forecast",
+            "irsv,s1,1,-9.1,-10.3,-7.9,0.00012,0.0087,0.0109",
+            "irsv,s1,5,-9.0,-10.9,-7.1,0.1,0.3333333333333333,2.2250738585072014e-308"]
+
+    def test_read_back_by_name(self, tmp_path):
+        path = tmp_path / "forecast.csv"
+        write_forecasts(path, self.ROWS)
+        assert read_forecasts(path) == [
+            {"model": "irsv", "asset": "s1", "horizon": row[2], "r2_forecast": row[6],
+             "absr_forecast": row[7], "vol_forecast": row[8]} for row in self.ROWS]

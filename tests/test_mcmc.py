@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_densities import lkj_log_density
 from scipy import stats
 
 from irvol.core import generate_gaps
@@ -23,7 +24,7 @@ from irvol.mcmc import (
 )
 from irvol.mcmc import fit as fit_module
 from irvol.mcmc.fit import _irmsv_walk, _irsv_walk
-from irvol.mcmc.priors import beta_logpdf, lkj_log_density, truncated_normal_logpdf
+from irvol.mcmc.priors import beta_logpdf, truncated_normal_logpdf
 
 
 class TestPhiWalks:
@@ -355,12 +356,6 @@ class TestFitIrsv:
         chain, _ = fit_irsv(*series, config=McmcConfig(100, 50, 1, rng_seed=5))
         assert chain.n_draws == 50
 
-    def test_latent_storage_optional(self):
-        series = _scenario_series(0.5, seed=12, length=60)
-        cfg = McmcConfig(200, 100, 1, rng_seed=2, store_latent=False)
-        chain, _ = fit_irsv(*series, config=cfg)
-        assert chain.names == ("mu", "phi", "sigma_eta")
-
     def test_recovers_truth_at_moderate_scale(self):
         series = _scenario_series(0.6, seed=13, length=1200)
         cfg = McmcConfig(6000, 2000, 4, rng_seed=3)
@@ -494,9 +489,8 @@ class TestAssetDraws:
         np.testing.assert_array_equal(last_h, chain.column("h_10"))
 
     def test_missing_columns_rejected(self):
-        series = _scenario_series(0.5, seed=17, length=30)
-        chain, _ = fit_irsv(*series, config=McmcConfig(60, 20, 1, rng_seed=10,
-                                                      store_latent=False))
+        # an irsv chain without latent columns
+        chain = McmcChain(("mu", "phi", "sigma_eta"), np.zeros((40, 3)))
         with pytest.raises(KeyError, match="h_29"):
             asset_draws(chain, "irsv", 1, 30)
         with pytest.raises(KeyError, match="mu_1"):
