@@ -9,8 +9,8 @@ it reproduces the run whatever the environment, config file or caller's
 directory.  Options the subcommand accepts but does not use go
 unrecorded.  A setting resolves in the order: command line,
 then ``IRVOL_<NAME>`` environment variables, then a ``--config`` file of
-``key = value`` lines, whose every key must be one of ``SETTINGS``,
-then its default in ``SETTINGS``.  With
+``key = value`` lines, then its default in ``SETTINGS``; every such
+variable and every key must name one of ``SETTINGS``.  With
 ``--threads 1`` (the default) every run is bit-reproducible for a fixed
 seed; replicate work parallelizes across processes with per-replicate
 seed streams, so outputs do not depend on the thread count.
@@ -62,9 +62,7 @@ MCMC_MODELS = ("irsv", "irmsv")
 ML_MODELS = ("irgarch", "irarch")
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # the sampler settings of an MCMC fit, by the McmcConfig field each sets
-MCMC_SETTINGS = {"iters": "n_iterations", "burnin": "burn_in", "thin": "thin",
-                 "adapt_interval": "adapt_interval", "latent_stride": "latent_stride",
-                 "progress_every": "progress_every"}
+MCMC_SETTINGS = {"iters": "n_iterations", "burnin": "burn_in", "thin": "thin"}
 # Options a flag, an IRVOL_<NAME> variable or a --config line can set: the
 # type of each and the default that holds when none of them does (None:
 # the subcommand needs a value).
@@ -103,17 +101,22 @@ def _options(args, names, **defaults) -> dict:
 
     A setting resolves flag > IRVOL_<NAME> > --config entry > default,
     the subcommand's own ``defaults`` before ``SETTINGS``; any other
-    option is its flag's value.
+    option is its flag's value.  Every IRVOL_ variable must name one of
+    ``SETTINGS``, read by this subcommand or not.
     """
-    config = _read_config_file(args.config)
+    given = _read_config_file(args.config)
+    for variable, text in os.environ.items():
+        if variable.startswith(ENV_PREFIX):
+            name = variable[len(ENV_PREFIX):].lower()
+            if name not in SETTINGS or ENV_PREFIX + name.upper() != variable:
+                raise ValueError(f"{variable}: unknown setting")
+            given[name] = (text, variable)
     options = {}
     for name in names:
         value = getattr(args, name)
         if value is None and name in SETTINGS:
             cast, default = SETTINGS[name]
-            variable = ENV_PREFIX + name.upper()
-            text, where = ((os.environ[variable], variable) if variable in os.environ
-                           else config.get(name, (None, None)))
+            text, where = given.get(name, (None, None))
             if text is None:
                 value = defaults.get(name, default)
             else:
@@ -312,9 +315,15 @@ def cmd_fit(args) -> None:
     out_dir = _out_dir(o["out"])
     outputs: list[str] = []
 
-    for data_path in o["data"]:
+    for k, data_path in enumerate(o["data"]):
         if not Path(data_path).exists():
             raise FileNotFoundError(f"data file not found: {data_path}")
+        # each data file's outputs are named by its stem
+        stem = Path(data_path).stem
+        twins = [path for path in o["data"][:k] if Path(path).stem == stem]
+        if twins:
+            raise ValueError(f"data files {twins[0]} and {data_path} share the stem "
+                             f"{stem!r}, so their outputs would overwrite each other")
 
     if mcmc:
         priors = _json_record(o["priors"], *PRIORS[model]) if o["priors"] else None

@@ -20,7 +20,7 @@ import numpy as np
 from irvol.core import TIME_TOL, TickSeries
 from irvol.mcmc.chain import McmcChain, McmcConfig, ParameterSummary
 
-CHAIN_FORMAT_VERSION = 2
+CHAIN_FORMAT_VERSION = 3
 TICK_HEADER = ["asset", "timestamp", "price"]
 # a forecast file's columns; ``read_forecasts`` reads FORECAST_COLUMNS of them
 FORECAST_HEADER = ("model", "asset", "horizon", "h_mean", "h_q2.5", "h_q97.5",

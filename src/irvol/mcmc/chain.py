@@ -11,21 +11,16 @@ SUMMARY_PROBS = (0.025, 0.975)  # the summary's q2.5 and q97.5 columns
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Run-length and adaptation settings for one chain.
+    """Run length and seed of one chain.
 
     Draws are stored at iterations burn_in + thin, burn_in + 2*thin, ...,
     n_iterations, so (n_iterations - burn_in) must be divisible by thin.
-    ``latent_stride`` controls which latent sites are stored (every k-th
-    plus the final one).
     """
 
     n_iterations: int
     burn_in: int
     thin: int = 1
     rng_seed: int = 0
-    adapt_interval: int = 200
-    latent_stride: int = 10
-    progress_every: int = 0
 
     def __post_init__(self):
         if self.n_iterations < 1:
@@ -36,12 +31,6 @@ class McmcConfig:
             raise ValueError("thin must be at least 1")
         if (self.n_iterations - self.burn_in) % self.thin != 0:
             raise ValueError("(n_iterations - burn_in) must be divisible by thin")
-        if self.adapt_interval < 1:
-            raise ValueError("adapt_interval must be at least 1")
-        if self.latent_stride < 1:
-            raise ValueError("latent_stride must be at least 1")
-        if self.progress_every < 0:
-            raise ValueError("progress_every must be nonnegative")
 
     @property
     def n_draws(self) -> int:

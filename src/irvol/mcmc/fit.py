@@ -38,7 +38,6 @@ either model.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from typing import Callable, NamedTuple
 
@@ -64,6 +63,7 @@ DEFAULT_CONFIG = McmcConfig(n_iterations=20_000, burn_in=5_000, thin=10)  # a fi
 # the optimal random-walk acceptance rates (Roberts, Gelman & Gilks 1997; Roberts & Rosenthal 2001)
 TARGET_ACCEPT_SCALAR = 0.44
 TARGET_ACCEPT_BLOCK = 0.234
+LATENT_STRIDE = 10  # a chain stores every 10th latent site and the last one
 
 
 def _parities(length: int) -> list[tuple[slice, slice, slice]]:
@@ -130,9 +130,9 @@ def _quad(x: np.ndarray, a: np.ndarray, inv_c: np.ndarray) -> tuple[np.ndarray, 
     return resid, float(resid @ (resid * inv_c))
 
 
-def _latent_sites(length: int, stride: int) -> np.ndarray:
-    """Every ``stride``-th site plus the final one, which forecasting needs."""
-    sites = np.arange(0, length, stride)
+def _latent_sites(length: int) -> np.ndarray:
+    """Every ``LATENT_STRIDE``-th site plus the final one, which forecasting needs."""
+    sites = np.arange(0, length, LATENT_STRIDE)
     if sites[-1] != length - 1:
         sites = np.append(sites, length - 1)
     return sites
@@ -309,15 +309,14 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
     logdet = 0.0  # and its log-determinant
 
     parities = _parities(length)
-    target, interval = TARGET_ACCEPT_SCALAR, config.adapt_interval
-    h_scales = [AdaptiveScale(np.ones(length), target, interval) for _ in range(p)]
+    target = TARGET_ACCEPT_SCALAR
+    h_scales = [AdaptiveScale(np.ones(length), target) for _ in range(p)]
     h_flags = np.empty(length, dtype=bool)  # one asset's latent accept flags of a sweep
-    scalar_scales = [[AdaptiveScale(value, target, interval) for value in (0.2, walk.scale, 0.3)]
-                     for _ in range(p)]
-    corr_scale = AdaptiveScale(0.05, TARGET_ACCEPT_BLOCK, interval)
+    scalar_scales = [[AdaptiveScale(v, target) for v in (0.2, walk.scale, 0.3)] for _ in range(p)]
+    corr_scale = AdaptiveScale(0.05, TARGET_ACCEPT_BLOCK)
     all_scales = h_scales + sum(scalar_scales, []) + [corr_scale]
 
-    sites = _latent_sites(length, config.latent_stride)
+    sites = _latent_sites(length)
     draws = np.empty((config.n_draws, 3 * p + p * (p - 1) // 2 + p * sites.size))
 
     for it in range(1, config.n_iterations + 1):
@@ -363,8 +362,6 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
             draws[(it - config.burn_in) // config.thin - 1] = np.concatenate(
                 [mu, [walk.to_phi(v) for v in x], sigma2, lower_entries(corr),
                  h[:, sites].ravel()])
-        if config.progress_every and it % config.progress_every == 0:
-            print(f"iteration {it}/{config.n_iterations}", file=sys.stderr)
 
     # each tally holds whole numbers, so each rate is the exact ratio rounded once
     kept = config.n_iterations - config.burn_in

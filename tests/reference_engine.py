@@ -150,16 +150,16 @@ def sample(r, gaps, walk, priors, config):
     trans = [_transition_arrays(float(phi[i]), gaps) for i in range(p)]
     v = [sigma2[i] * trans[i][1] for i in range(p)]
     parities = _parities(length)
-    target, interval = TARGET_ACCEPT_SCALAR, config.adapt_interval
-    h_scales = [AdaptiveScale(np.ones(length), target, interval) for _ in range(p)]
+    target = TARGET_ACCEPT_SCALAR
+    h_scales = [AdaptiveScale(np.ones(length), target) for _ in range(p)]
     h_flags = np.empty(length, dtype=bool)
-    mu_scales = [AdaptiveScale(0.2, target, interval) for _ in range(p)]
-    x_scales = [AdaptiveScale(walk.scale, target, interval) for _ in range(p)]
-    u_scales = [AdaptiveScale(0.3, target, interval) for _ in range(p)]
-    corr_scale = AdaptiveScale(0.05, TARGET_ACCEPT_BLOCK, interval)
+    mu_scales = [AdaptiveScale(0.2, target) for _ in range(p)]
+    x_scales = [AdaptiveScale(walk.scale, target) for _ in range(p)]
+    u_scales = [AdaptiveScale(0.3, target) for _ in range(p)]
+    corr_scale = AdaptiveScale(0.05, TARGET_ACCEPT_BLOCK)
     all_scales = h_scales + mu_scales + x_scales + u_scales + [corr_scale]
 
-    sites = _latent_sites(length, config.latent_stride)
+    sites = _latent_sites(length)
     draws = np.empty((config.n_draws, 3 * p + p * (p - 1) // 2 + p * sites.size))
     row = 0
     h_accepts = corr_accepts = tracked_iters = 0

@@ -93,12 +93,12 @@ class TestSimulate:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def _returns_file(tmp_path, returns):
+def _returns_file(tmp_path, returns, name="data.csv"):
     """A returns file of a (p, T) matrix at gaps of 2."""
     rows = ["timestamp,gap," + ",".join(f"r_{i}" for i in range(len(returns)))]
     for j, column in enumerate(returns.T.tolist()):
         rows.append(",".join([repr(2.0 * j), "" if j == 0 else repr(2.0)] + [repr(x) for x in column]))
-    data = tmp_path / "data.csv"
+    data = tmp_path / name
     data.write_text("\n".join(rows) + "\n")
     return data
 
@@ -435,9 +435,9 @@ class TestReplayAndConfig:
         assert run("simulate", "--model", model, "--params",
                    write_json(tmp_path / "p.json", params), "--length", 90, "--seed", 3,
                    "--out", sim) == 0
-        settings = {"latent_stride": "7", "adapt_interval": "25", "progress_every": "150"}
-        argv = ["fit", "--model", model, "--data", sim / "rep000.csv", "--iters", 300,
-                "--burnin", 100, "--thin", 4, "--seed", 9, "--out", tmp_path / "fit"]
+        settings = {"iters": "240", "burnin": "90", "thin": "6"}
+        argv = ["fit", "--model", model, "--data", sim / "rep000.csv", "--seed", 9,
+                "--out", tmp_path / "fit"]
         cfg = tmp_path / "run.cfg"
         if source == "flag":
             for name, value in settings.items():
@@ -450,7 +450,8 @@ class TestReplayAndConfig:
             argv += ["--config", cfg]
         assert run(*argv) == 0
         meta = json.loads((tmp_path / "fit" / "rep000.chain.csv.meta.json").read_text())
-        assert {name: str(meta["config"][name]) for name in settings} == settings
+        fields = {"iters": "n_iterations", "burnin": "burn_in", "thin": "thin"}
+        assert {name: str(meta["config"][fields[name]]) for name in settings} == settings
 
         for name in settings:
             monkeypatch.delenv("IRVOL_" + name.upper(), raising=False)
@@ -522,6 +523,42 @@ class TestReplayAndConfig:
         assert run("simulate", "--model", "irsv", "--params", sv_params, "--length", 20,
                    "--config", cfg, "--out", tmp_path / "o") == 2
         assert f"{cfg}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variable", ["IRVOL_LATNET_STRIDE", "IRVOL_seed"])
+    def test_unknown_environment_variable_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  sv_params, variable):
+        monkeypatch.setenv(variable, "7")
+        assert run("simulate", "--model", "irsv", "--params", sv_params, "--length", 20,
+                   "--out", tmp_path / "o") == 2
+        assert f"error: {variable}: unknown setting\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # the sampler settings are the run length alone; these three are fixed
+    @pytest.mark.parametrize("name", ["adapt_interval", "latent_stride", "progress_every"])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_fixed_sampler_settings_exit_2(self, tmp_path, capsys, monkeypatch, pipeline,
+                                           name, source):
+        monkeypatch.chdir(pipeline)
+        argv = ["fit", "--model", "irsv", "--data", "sim/rep000.csv", "--iters", 20,
+                "--burnin", 10, "--out", tmp_path / "out"]
+        if source == "flag":
+            flag = "--" + name.replace("_", "-")
+            argv += [flag, 7]
+            message = f"error: unrecognized arguments: {flag} 7\n"
+        elif source == "env":
+            monkeypatch.setenv("IRVOL_" + name.upper(), "7")
+            message = f"error: IRVOL_{name.upper()}: unknown setting\n"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{name} = 7\n")
+            argv += ["--config", cfg]
+            message = f"error: {cfg}: line 1: unknown key {name!r}\n"
+        try:
+            code = run(*argv)
+        except SystemExit as exc:  # argparse's exit on a flag it does not know
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_replay_returns_the_replayed_exit_code(self, tmp_path, capsys, monkeypatch,
                                                    pipeline):
@@ -652,22 +689,29 @@ def test_forecast_without_its_sidecar_exits_1(tmp_path, capsys, monkeypatch, pip
     assert "fit/rep000.chain.csv.meta.json" in capsys.readouterr().err
 
 
-def test_forecast_of_a_version_1_sidecar_exits_2_naming_the_version(tmp_path, capsys,
-                                                                    monkeypatch, pipeline):
-    # a version-1 sidecar's config also held the acceptance targets and store_latent
+# the config keys each older sidecar held beyond the current four
+OLD_SIDECAR_CONFIG = {
+    1: dict(adapt_interval=200, latent_stride=10, progress_every=0, target_accept_scalar=0.44,
+            target_accept_block=0.234, store_latent=True),
+    2: dict(adapt_interval=200, latent_stride=10, progress_every=0),
+}
+
+
+@pytest.mark.parametrize("version", sorted(OLD_SIDECAR_CONFIG))
+def test_forecast_of_an_older_sidecar_exits_2_naming_the_version(tmp_path, capsys,
+                                                                 monkeypatch, pipeline, version):
     shutil.copytree(pipeline, tmp_path / "run")
     monkeypatch.chdir(tmp_path / "run")
     sidecar = Path("fit/rep000.chain.csv.meta.json")
 
-    def to_version_1(meta):
-        meta["format_version"] = 1
-        meta["config"].update(target_accept_scalar=0.44, target_accept_block=0.234,
-                              store_latent=True)
+    def to_version(meta):
+        meta["format_version"] = version
+        meta["config"].update(OLD_SIDECAR_CONFIG[version])
 
-    sidecar.write_text(_edit_json(to_version_1)(sidecar.read_text()))
+    sidecar.write_text(_edit_json(to_version)(sidecar.read_text()))
     capsys.readouterr()
     assert run(*FORECAST, "--out", "out") == 2
-    assert (f"error: {sidecar}: unsupported chain format version 1\n"
+    assert (f"error: {sidecar}: unsupported chain format version {version}\n"
             in capsys.readouterr().err)
 
 
@@ -779,11 +823,9 @@ FIT_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(FIT_FAULTS))
 def test_fit_errors_name_the_data_file_at_fault(tmp_path, capsys, fault, model, threads):
     r, mcmc_message, ml_message, code, holdout = FIT_FAULTS[fault]
-    for name in ("good", "bad"):
-        (tmp_path / name).mkdir()
     rng = np.random.default_rng(4)
-    good = _returns_file(tmp_path / "good", 0.01 * rng.standard_normal((1, 60)))
-    bad = _returns_file(tmp_path / "bad", r)
+    good = _returns_file(tmp_path, 0.01 * rng.standard_normal((1, 60)), "good.csv")
+    bad = _returns_file(tmp_path, r, "bad.csv")
     argv = ["fit", "--model", model, "--data", good, bad, "--holdout", holdout,
             "--out", tmp_path / "out"]
     if threads:
@@ -792,6 +834,25 @@ def test_fit_errors_name_the_data_file_at_fault(tmp_path, capsys, fault, model, 
     assert run(*argv) == code
     message = mcmc_message if model == "irsv" else ml_message
     assert f"error: {bad}: {message}\n" in capsys.readouterr().err
+
+
+# every output of a fit is named by its data file's stem
+@pytest.mark.parametrize("model, threads", [("irsv", 2), ("irgarch", 1)])
+@pytest.mark.parametrize("layout", ["same-file", "two-directories"])
+def test_data_files_sharing_a_stem_exit_2_before_any_fit(tmp_path, capsys, model, threads,
+                                                         layout):
+    rng = np.random.default_rng(6)
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        _returns_file(tmp_path / name, 0.01 * rng.standard_normal((1, 60)))
+    first = tmp_path / "a" / "data.csv"
+    second = first if layout == "same-file" else tmp_path / "b" / "data.csv"
+    capsys.readouterr()
+    assert run("fit", "--model", model, "--data", first, second, "--iters", 20,
+               "--burnin", 10, "--threads", threads, "--out", tmp_path / "out") == 2
+    assert (f"error: data files {first} and {second} share the stem 'data', so their "
+            f"outputs would overwrite each other\n" in capsys.readouterr().err)
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -271,7 +271,7 @@ class TestChainRoundTrip:
         write_chain(chain, path, **FIT_RECORD)
         meta_path = tmp_path / "chain.csv.meta.json"
         meta_path.write_text(meta_path.read_text().replace(
-            '"format_version": 2', '"format_version": 99'))
+            '"format_version": 3', '"format_version": 99'))
         with pytest.raises(ValueError, match="version"):
             read_chain(path)
 

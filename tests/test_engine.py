@@ -130,7 +130,9 @@ class TestReferenceEngine:
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("kind", ["repeated", "distinct"])
     @pytest.mark.parametrize("length", [61, 80])
-    @pytest.mark.parametrize("burn_in", [0, 150])
+    # burn-in ends before the first 200-iteration adaptation round, or after two
+    # rounds and part of a third
+    @pytest.mark.parametrize("burn_in", [0, 150, 450])
     def test_short_fits_match_the_reference_engine(self, p, kind, length, burn_in):
         r, gaps = _msv_returns(length, kind, seed=length + 7 * p + burn_in)
         r = r[:p]
@@ -138,8 +140,7 @@ class TestReferenceEngine:
             walk, priors = fm._irsv_walk(IrSvPriors()), IrSvPriors()
         else:
             walk, priors = fm._irmsv_walk(IrMsvPriors()), IrMsvPriors()
-        config = McmcConfig(n_iterations=450, burn_in=burn_in, thin=3, rng_seed=length + p,
-                            adapt_interval=25, latent_stride=7)
+        config = McmcConfig(n_iterations=480, burn_in=burn_in, thin=3, rng_seed=length + p)
         run = fm._sample(r, gaps, walk, priors, config)
         draws, rates = reference_engine.sample(r, gaps, walk, priors, config)
         np.testing.assert_array_equal(run.draws, draws)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -281,6 +282,11 @@ class TestSummarize:
 
 
 class TestConfig:
+    def test_fields_are_the_run_length_and_seed(self):
+        # the adaptation interval, latent stride and acceptance targets are fixed
+        assert ([field.name for field in dataclasses.fields(McmcConfig)]
+                == ["n_iterations", "burn_in", "thin", "rng_seed"])
+
     def test_draw_count_divisibility(self):
         with pytest.raises(ValueError):
             McmcConfig(n_iterations=1000, burn_in=100, thin=7)
@@ -336,7 +342,7 @@ class TestFitIrsv:
 
     def test_chain_layout(self):
         series = _scenario_series(0.5, seed=11, length=95)
-        cfg = McmcConfig(400, 100, 3, rng_seed=1, latent_stride=20)
+        cfg = McmcConfig(400, 100, 3, rng_seed=1)
         chain, summary = fit_irsv(*series, config=cfg)
         assert chain.n_draws == 100
         assert chain.names[:3] == ("mu", "phi", "sigma_eta")
@@ -417,7 +423,7 @@ class TestFitIrmsv:
 
     def test_chain_layout(self):
         r, gaps = _msv_data(seed=23, length=70)
-        cfg = McmcConfig(200, 100, 2, rng_seed=7, latent_stride=30)
+        cfg = McmcConfig(200, 100, 2, rng_seed=7)
         chain, _ = fit_irmsv(r, gaps, config=cfg)
         for name in ("mu_1", "phi_2", "sigma2_3", "rho_12", "rho_23", "h1_0", "h3_69"):
             assert name in chain.names
@@ -450,19 +456,11 @@ class TestFitIrmsv:
         assert abs(rho.mean - (-0.4)) < 0.1
         assert rho.quantiles[0.975] < 0.0
 
-    def test_progress_reporting_to_stderr(self, capsys):
-        r, gaps = _msv_data(seed=28, length=40)
-        cfg = McmcConfig(100, 50, 1, rng_seed=10, progress_every=50)
-        fit_irsv(r[0], gaps, config=cfg)
-        err = capsys.readouterr().err
-        assert "iteration 50/100" in err and "iteration 100/100" in err
-
 
 class TestAssetDraws:
     def test_irsv_layout(self):
         series = _scenario_series(0.5, seed=16, length=47)
-        chain, _ = fit_irsv(*series, config=McmcConfig(120, 20, 2, rng_seed=8,
-                                                      latent_stride=10))
+        chain, _ = fit_irsv(*series, config=McmcConfig(120, 20, 2, rng_seed=8))
         (mu, phi, sigma2, last_h), = asset_draws(chain, "irsv", 1, 47)
         np.testing.assert_array_equal(mu, chain.column("mu"))
         np.testing.assert_array_equal(phi, chain.column("phi"))
@@ -471,8 +469,7 @@ class TestAssetDraws:
 
     def test_irmsv_layout(self):
         r, gaps = _msv_data(seed=29, length=45)
-        chain, _ = fit_irmsv(r, gaps, config=McmcConfig(120, 20, 2, rng_seed=9,
-                                                        latent_stride=20))
+        chain, _ = fit_irmsv(r, gaps, config=McmcConfig(120, 20, 2, rng_seed=9))
         groups = asset_draws(chain, "irmsv", 3, 45)
         assert len(groups) == 3
         for i, (mu, phi, sigma2, last_h) in enumerate(groups, start=1):
