@@ -257,6 +257,10 @@ def cmd_simulate(args) -> None:
         raise ValueError("--length must be a positive integer")
     if o["replicates"] < 1:
         raise ValueError("--replicates must be at least 1")
+    if not 0.0 < o["gap_mean"] < math.inf:
+        raise ValueError(f"--gap-mean must be a positive real, not {o['gap_mean']}")
+    if o["seed"] < 0:
+        raise ValueError(f"--seed must be a non-negative integer, not {o['seed']}")
     out_dir = _out_dir(o["out"])
     params = _json_record(o["params"], *PARAMS[o["model"]])
     if o["model"] == "irarch":
@@ -285,11 +289,11 @@ def _drop_holdout(matrix: np.ndarray, gaps: np.ndarray, holdout: int):
     return matrix, gaps
 
 
-def _fit_one_mcmc(model: str, data_path: str, priors, config_kwargs: dict, holdout: int,
+def _fit_one_mcmc(model: str, data_path: str, priors, config: McmcConfig, holdout: int,
                   master_seed: int, index: int, out_dir: str) -> list[str]:
     timestamps, gaps, matrix, assets = read_returns(data_path)
     seed = int(_replicate_seed(master_seed, index).generate_state(1)[0] % 2**31)
-    config = McmcConfig(rng_seed=seed, **config_kwargs)
+    config = replace(config, rng_seed=seed)
     stem = Path(data_path).stem
     chain_path = Path(out_dir) / f"{stem}.chain.csv"
     summary_path = Path(out_dir) / f"{stem}.summary.csv"
@@ -312,6 +316,14 @@ def cmd_fit(args) -> None:
     mcmc = model in MCMC_MODELS
     o = _options(args, ("model", "data", *(("priors", "seed", "threads", *MCMC_SETTINGS)
                                             if mcmc else ()), "holdout", "out"), holdout=0)
+    if mcmc:
+        if o["seed"] < 0:
+            raise ValueError(f"--seed must be a non-negative integer, not {o['seed']}")
+        try:
+            config = McmcConfig(**{field: o[name] for name, field in MCMC_SETTINGS.items()})
+        except ValueError as exc:
+            given = ", ".join(f"--{name} {o[name]}" for name in MCMC_SETTINGS)
+            raise ValueError(f"{given}: {exc}") from None
     out_dir = _out_dir(o["out"])
     outputs: list[str] = []
 
@@ -327,9 +339,8 @@ def cmd_fit(args) -> None:
 
     if mcmc:
         priors = _json_record(o["priors"], *PRIORS[model]) if o["priors"] else None
-        config_kwargs = {field: o[name] for name, field in MCMC_SETTINGS.items()}
-        jobs = [(model, path, priors, config_kwargs, o["holdout"], o["seed"], k,
-                 str(out_dir)) for k, path in enumerate(o["data"])]
+        jobs = [(model, path, priors, config, o["holdout"], o["seed"], k, str(out_dir))
+                for k, path in enumerate(o["data"])]
         for group in _run_jobs(_fit_one_mcmc, jobs, o["threads"]):
             outputs.extend(group)
     else:

@@ -249,14 +249,13 @@ def write_chain(chain: McmcChain, path, *, model: str, gap_scale_factor: float,
         writer.writerow(chain.names)
         for row in chain.draws:
             writer.writerow([_fmt(v) for v in row])
-    config = chain.config
     write_json(chain_meta_path(path), {
         "format_version": CHAIN_FORMAT_VERSION,
         "names": list(chain.names),
         "n_draws": chain.n_draws,
         "acceptance_rates": {k: float(v) for k, v in chain.acceptance_rates.items()},
-        "config": None if config is None else vars(config),
-        "seed": None if config is None else config.rng_seed,
+        "config": vars(chain.config),
+        "seed": chain.config.rng_seed,
         "model": model,
         "gap_scale_factor": gap_scale_factor,
         "n_obs_fit": n_obs_fit,
@@ -270,7 +269,7 @@ def chain_meta_path(path) -> Path:
 
 
 def _entry(meta: dict, key: str):
-    if key not in meta:
+    if meta.get(key) is None:
         raise ValueError(f"{key}: missing")
     return meta[key]
 
@@ -283,8 +282,8 @@ def read_chain(path, **expect) -> tuple[McmcChain, dict]:
     row whose width disagrees with the header, or a sidecar with an
     unknown format version, names that disagree with the header, a config
     ``McmcConfig`` rejects, a ``gap_scale_factor`` that is not a positive
-    number, or an entry that is missing or differs from its value in
-    ``expect``.
+    number, or an entry that is missing, null or differs from its value
+    in ``expect``.
     """
     rows = _read_csv(path, lambda header: _floats)
     names = tuple(next(rows))
@@ -297,8 +296,8 @@ def read_chain(path, **expect) -> tuple[McmcChain, dict]:
             raise ValueError(f"unsupported chain format version {version!r}")
         if tuple(_entry(meta, "names")) != names:
             raise ValueError("sidecar names disagree with the chain header")
-        rates = {k: float(v) for k, v in meta.get("acceptance_rates", {}).items()}
-        config = McmcConfig(**meta["config"]) if meta.get("config") else None
+        rates = {k: float(v) for k, v in _entry(meta, "acceptance_rates").items()}
+        config = McmcConfig(**_entry(meta, "config"))
         _check_scale_factor(_entry(meta, "gap_scale_factor"))
         for key, wanted in expect.items():
             if _entry(meta, key) != wanted:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,8 @@ class McmcConfig:
 
 @dataclass(frozen=True)
 class McmcChain:
-    """Stored draws (rows) for named quantities (columns).
+    """Stored draws (rows) for named quantities (columns), with the
+    post-burn-in acceptance rates and the config of the run that drew them.
 
     Latent-state columns are named h_<site> (univariate) or
     h<asset>_<site> (multivariate) alongside the model parameters.
@@ -47,8 +48,8 @@ class McmcChain:
 
     names: tuple[str, ...]
     draws: np.ndarray
-    acceptance_rates: dict[str, float] = field(default_factory=dict)
-    config: McmcConfig | None = None
+    acceptance_rates: dict[str, float]
+    config: McmcConfig
 
     def __post_init__(self):
         names = tuple(self.names)

@@ -20,9 +20,10 @@ accepted phi.  One chain is a strictly sequential sweep per iteration:
   in that order (sigma_eta**2 on the log scale, with the Jacobian folded
   into the target).  One pass over the path gives x'Qx, after which the
   mu and sigma_eta**2 targets cost O(1) and each phi proposal one pass.
-  How phi is walked is each model's choice: ``irsv`` walks (phi + 1)/2
-  under its Beta prior, ``irmsv`` walks phi under its truncated normal
-  prior;
+  Both models walk phi itself, from ``PHI_START`` = 0.5 at the initial
+  scale ``PHI_SCALE`` = 0.1, and keep it in (0, 1); a model only brings
+  its prior, through ``phi_logprior`` (``irsv``: Beta on (phi + 1)/2,
+  ``irmsv``: a normal truncated to (-1, 1));
 * for p > 1, all free correlations are updated jointly by a block
   random walk.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,14 +48,7 @@ from irvol.core import gap_values, squared_returns
 from irvol.irmsv import correlation_names, lower_entries
 from irvol.irsv import gap_law
 from irvol.mcmc.chain import McmcChain, McmcConfig, ParameterSummary, summarize
-from irvol.mcmc.priors import (
-    IrMsvPriors,
-    IrSvPriors,
-    beta_logpdf,
-    normal_logpdf,
-    truncated_normal_logpdf,
-    variance_logprior,
-)
+from irvol.mcmc.priors import IrMsvPriors, IrSvPriors, normal_logpdf, variance_logprior
 from irvol.mcmc.samplers import AdaptiveScale, adaptive_rwm_scalar, correlation_block_step
 
 H_INIT_FLOOR = 1e-12  # added to r^2 before the log when initializing h
@@ -64,6 +58,8 @@ DEFAULT_CONFIG = McmcConfig(n_iterations=20_000, burn_in=5_000, thin=10)  # a fi
 TARGET_ACCEPT_SCALAR = 0.44
 TARGET_ACCEPT_BLOCK = 0.234
 LATENT_STRIDE = 10  # a chain stores every 10th latent site and the last one
+PHI_START = 0.5  # every chain's first phi, for either model
+PHI_SCALE = 0.1  # and the initial scale of its random walk
 
 
 def _parities(length: int) -> list[tuple[slice, slice, slice]]:
@@ -172,43 +168,6 @@ def _msv_sweep(hp_i, eps_i, r_i, parity, mu_i, prior, inv_s2, qii, cross, scales
     np.copyto(eps_cur, eps_prop, where=accept)
 
 
-class _PhiWalk(NamedTuple):
-    """The coordinate x a model's sampler walks phi on, with phi = to_phi(x).
-
-    ``log_prior`` is the prior log-density of x, -inf outside the walk's
-    support; the walk starts at ``start`` with proposal scale ``scale``.
-    """
-
-    start: float
-    scale: float
-    to_phi: Callable[[float], float]
-    log_prior: Callable[[float], float]
-
-
-def _irsv_walk(priors: IrSvPriors) -> _PhiWalk:
-    """w = (phi + 1)/2 under Beta(phi_beta), from w = 0.75, with phi kept in (0, 1)."""
-    ba, bb = priors.phi_beta
-
-    def log_prior(w: float) -> float:
-        if not (0.0 < w < 1.0) or 2.0 * w - 1.0 <= 0.0:
-            return -math.inf
-        return beta_logpdf(w, ba, bb)
-
-    return _PhiWalk(0.75, 0.05, lambda w: 2.0 * w - 1.0, log_prior)
-
-
-def _irmsv_walk(priors: IrMsvPriors) -> _PhiWalk:
-    """phi itself under Normal(phi_normal) truncated to (-1, 1), from 0.5, kept in (0, 1)."""
-    mean, var = priors.phi_normal
-
-    def log_prior(phi: float) -> float:
-        if phi <= 0.0 or phi >= 1.0:
-            return -math.inf
-        return truncated_normal_logpdf(phi, mean, var, -1.0, 1.0)
-
-    return _PhiWalk(0.5, 0.1, lambda phi: phi, log_prior)
-
-
 class _Run(NamedTuple):
     """Engine output.
 
@@ -223,16 +182,16 @@ class _Run(NamedTuple):
     rates: dict
 
 
-def _scalar_steps(h_i, state, distinct, walk: _PhiWalk, priors, scales, rng):
-    """Random-walk updates of mu, then phi's walk coordinate x, then log sigma_eta**2.
+def _scalar_steps(h_i, state, distinct, priors, scales, rng):
+    """Random-walk updates of mu, then phi, then log sigma_eta**2.
 
-    ``state`` is (mu, x, sigma2, prior) of one asset; returns its update.
+    ``state`` is (mu, phi, sigma2, prior) of one asset; returns its update.
     One pass over the path gives x'Qx and resid'w at the current mu; after
     it the mu and sigma_eta**2 targets are O(1), and each phi proposal
     costs one pass with its own law.  Targets drop terms that cancel in
     the step's log-ratio.
     """
-    mu, x, s2, prior = state
+    mu, phi, s2, prior = state
     half_inv_s2 = 0.5 / s2
     resid, q = _quad(h_i - mu, prior.a, prior.inv_c)
     rw = float(resid @ prior.w)
@@ -251,18 +210,17 @@ def _scalar_steps(h_i, state, distinct, walk: _PhiWalk, priors, scales, rng):
     dev = h_i - mu
     proposed = []  # the last proposal's law and x'Qx
 
-    def x_target(xv):
-        log_prior = walk.log_prior(xv)
-        if log_prior == -math.inf:
-            return log_prior
-        a, inv_c, log_c = _law(walk.to_phi(xv), distinct)
+    def phi_target(phi_v):
+        if not 0.0 < phi_v < 1.0:  # phi**g over a fractional gap g needs phi > 0
+            return -math.inf
+        a, inv_c, log_c = _law(phi_v, distinct)
         proposed[:] = (a, inv_c, log_c), _quad(dev, a, inv_c)[1]
-        return log_prior - 0.5 * log_c - proposed[1] * half_inv_s2
+        return priors.phi_logprior(phi_v) - 0.5 * log_c - proposed[1] * half_inv_s2
 
-    current = walk.log_prior(x) - 0.5 * prior.log_c - q * half_inv_s2
-    x_step = adaptive_rwm_scalar(x, x_target, scales[1], rng, current)
-    if x_step.accepted:
-        x = x_step.value
+    current = priors.phi_logprior(phi) - 0.5 * prior.log_c - q * half_inv_s2
+    phi_step = adaptive_rwm_scalar(phi, phi_target, scales[1], rng, current)
+    if phi_step.accepted:
+        phi = phi_step.value
         prior, q = _prior(*proposed[0]), proposed[1]
 
     gshape, grate = priors.precision_gamma
@@ -279,12 +237,15 @@ def _scalar_steps(h_i, state, distinct, walk: _PhiWalk, priors, scales, rng):
     u_step = adaptive_rwm_scalar(math.log(s2), u_target, scales[2], rng)
     if u_step.accepted:
         s2 = math.exp(u_step.value)
-    return mu, x, s2, prior
+    return mu, phi, s2, prior
 
 
-def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
-            config: McmcConfig) -> _Run:
-    """Run one chain on a (p, T) return matrix over shared scaled gaps."""
+def _sample(r: np.ndarray, gaps: np.ndarray, priors, config: McmcConfig) -> _Run:
+    """Run one chain on a (p, T) return matrix over shared scaled gaps.
+
+    ``priors`` is the model's ``IrSvPriors`` or ``IrMsvPriors``; the
+    correlation step, run only for p > 1, reads its ``lkj_eta``.
+    """
     p, length = r.shape
     rng = np.random.default_rng(config.rng_seed)
 
@@ -299,7 +260,7 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
             mu_i = 0.0
         else:
             mu_i = float(np.mean(np.log(positive))) + MU_INIT_OFFSET
-        states.append((mu_i, walk.start, 1.0, _prior(*_law(walk.to_phi(walk.start), distinct))))
+        states.append((mu_i, PHI_START, 1.0, _prior(*_law(PHI_START, distinct))))
     hp = np.zeros((p, length + 2))  # each path between two pads that e weighs by zero
     h = hp[:, 1:-1]
     h[:] = np.log(r2 + H_INIT_FLOOR)
@@ -312,7 +273,7 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
     target = TARGET_ACCEPT_SCALAR
     h_scales = [AdaptiveScale(np.ones(length), target) for _ in range(p)]
     h_flags = np.empty(length, dtype=bool)  # one asset's latent accept flags of a sweep
-    scalar_scales = [[AdaptiveScale(v, target) for v in (0.2, walk.scale, 0.3)] for _ in range(p)]
+    scalar_scales = [[AdaptiveScale(v, target) for v in (0.2, PHI_SCALE, 0.3)] for _ in range(p)]
     corr_scale = AdaptiveScale(0.05, TARGET_ACCEPT_BLOCK)
     all_scales = h_scales + sum(scalar_scales, []) + [corr_scale]
 
@@ -333,8 +294,8 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
             h_scales[i].observe(h_flags)
 
         for i in range(p):
-            states[i] = _scalar_steps(h[i], states[i], distinct, walk, priors,
-                                      scalar_scales[i], rng)
+            states[i] = _scalar_steps(h[i], states[i], distinct, priors, scalar_scales[i],
+                                      rng)
 
         # with one asset there is no free correlation, and the step would
         # still draw from the stream
@@ -358,10 +319,9 @@ def _sample(r: np.ndarray, gaps: np.ndarray, walk: _PhiWalk, priors,
                 logdet, prec = proposed
 
         if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
-            mu, x, sigma2, _ = zip(*states)
+            mu, phi, sigma2, _ = zip(*states)
             draws[(it - config.burn_in) // config.thin - 1] = np.concatenate(
-                [mu, [walk.to_phi(v) for v in x], sigma2, lower_entries(corr),
-                 h[:, sites].ravel()])
+                [mu, phi, sigma2, lower_entries(corr), h[:, sites].ravel()])
 
     # each tally holds whole numbers, so each rate is the exact ratio rounded once
     kept = config.n_iterations - config.burn_in
@@ -415,7 +375,7 @@ def fit_irsv(returns, gaps, priors: IrSvPriors | None = None,
     priors = priors or IrSvPriors()
     config = config or DEFAULT_CONFIG
     r, g = _fit_data(returns, gaps, multivariate=False)
-    run = _sample(r, g, _irsv_walk(priors), priors, config)
+    run = _sample(r, g, priors, config)
     run.draws[:, 2] = np.sqrt(run.draws[:, 2])
     return _chain(run, ["mu", "phi", "sigma_eta"] + [f"h_{j}" for j in run.sites], config)
 
@@ -432,7 +392,7 @@ def fit_irmsv(returns, gaps, priors: IrMsvPriors | None = None,
     config = config or DEFAULT_CONFIG
     r, g = _fit_data(returns, gaps, multivariate=True)
     p = r.shape[0]
-    run = _sample(r, g, _irmsv_walk(priors), priors, config)
+    run = _sample(r, g, priors, config)
     assets = range(1, p + 1)
     names = ([f"mu_{i}" for i in assets] + [f"phi_{i}" for i in assets]
              + [f"sigma2_{i}" for i in assets] + correlation_names(p)

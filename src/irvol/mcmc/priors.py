@@ -78,6 +78,10 @@ class IrSvPriors:
         if self.mu_normal[1] <= 0:
             raise ValueError("the normal prior variance must be positive")
 
+    def phi_logprior(self, phi: float) -> float:
+        """Beta(phi_beta) log-density of (phi + 1)/2: phi's log-density less log 2."""
+        return beta_logpdf((phi + 1.0) / 2.0, *self.phi_beta)
+
 
 @dataclass(frozen=True)
 class IrMsvPriors:
@@ -98,3 +102,7 @@ class IrMsvPriors:
             raise ValueError("normal prior variances must be positive")
         if self.lkj_eta <= 0:
             raise ValueError("lkj_eta must be positive")
+
+    def phi_logprior(self, phi: float) -> float:
+        """Log-density of phi, Normal(phi_normal) truncated to (-1, 1)."""
+        return truncated_normal_logpdf(phi, *self.phi_normal, -1.0, 1.0)

@@ -9,13 +9,15 @@ import numpy as np
 
 from irvol.irmsv import corr_from_lower, lower_index
 
+ADAPT_INTERVAL = 200  # observations per adaptation round
+
 
 class AdaptiveScale:
     """Proposal scales tuned toward a target acceptance rate on one clock.
 
     ``values`` is a 1-D array of scales; a number gives a single scale.
     Each ``observe(accepted)`` records one accept flag per scale.  Every
-    ``interval`` observations each scale is multiplied by
+    ``ADAPT_INTERVAL`` observations each scale is multiplied by
     exp((rate - target) / sqrt(round)), a Robbins-Monro step decaying
     with the adaptation round, and kept in [1e-8, 1e6].  Call
     ``freeze()`` at the end of burn-in; a frozen scale never changes
@@ -24,19 +26,16 @@ class AdaptiveScale:
     round or, once frozen, since ``freeze()``.
     """
 
-    __slots__ = ("values", "target", "interval", "frozen", "accepted", "_seen", "_round")
+    __slots__ = ("values", "target", "frozen", "accepted", "_seen", "_round")
 
-    def __init__(self, values, target: float, interval: int = 200):
+    def __init__(self, values, target: float):
         values = np.array(values, dtype=float, ndmin=1)
         if values.ndim != 1 or not np.all(values > 0):
             raise ValueError("the initial scales must be positive")
         if not (0.0 < target < 1.0):
             raise ValueError("the target acceptance rate must lie in (0, 1)")
-        if interval < 1:
-            raise ValueError("the adaptation interval must be at least 1")
         self.values = values
         self.target = float(target)
-        self.interval = int(interval)
         self.frozen = False
         self.accepted = np.zeros(values.size)
         self._seen = 0
@@ -47,7 +46,7 @@ class AdaptiveScale:
         if self.frozen:
             return
         self._seen += 1
-        if self._seen >= self.interval:
+        if self._seen >= ADAPT_INTERVAL:
             self._round += 1
             rates = self.accepted / self._seen
             self.values *= np.exp((rates - self.target) / math.sqrt(self._round))

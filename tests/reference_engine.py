@@ -1,13 +1,14 @@
 """The per-site sampler engine that ``irvol.mcmc.fit._sample`` replaced.
 
 A bit-level oracle for sampler work, run only by tests: given the same
-returns, gaps, phi walk, priors and config it must produce the same
+returns, gaps, priors and config it must produce the same
 draws and acceptance rates as the engine in ``irvol.mcmc.fit``.  Each
 latent site's target here is the observation term plus the separate
 transitions into and out of the site, indexed by site; each scalar step
 re-evaluates the whole-path transition log-likelihood at both points;
 the correlation step factors every matrix again.  Only the proposal
-scales, their acceptance targets and the priors come from the package.
+scales, their acceptance targets, phi's starting point and the priors
+come from the package.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from irvol.irsv import gap_law
 from irvol.mcmc.fit import (
     H_INIT_FLOOR,
     MU_INIT_OFFSET,
+    PHI_SCALE,
+    PHI_START,
     TARGET_ACCEPT_BLOCK,
     TARGET_ACCEPT_SCALAR,
     _latent_sites,
@@ -125,7 +128,7 @@ def _correlation_step(corr, scale, rng, log_target):
     return (proposal, True) if accepted else (corr, False)
 
 
-def sample(r, gaps, walk, priors, config):
+def sample(r, gaps, priors, config):
     """(draws, rates) of one chain, laid out as ``irvol.mcmc.fit._sample``'s."""
     p, length = r.shape
     rng = np.random.default_rng(config.rng_seed)
@@ -139,8 +142,7 @@ def sample(r, gaps, walk, priors, config):
             mu[i] = 0.0
         else:
             mu[i] = float(np.mean(np.log(positive))) + MU_INIT_OFFSET
-    x = np.full(p, walk.start)
-    phi = np.full(p, walk.to_phi(walk.start))
+    phi = np.full(p, PHI_START)
     sigma2 = np.ones(p)
     h = np.log(r2 + H_INIT_FLOOR)
     eps = r * np.exp(-h / 2.0)
@@ -154,10 +156,10 @@ def sample(r, gaps, walk, priors, config):
     h_scales = [AdaptiveScale(np.ones(length), target) for _ in range(p)]
     h_flags = np.empty(length, dtype=bool)
     mu_scales = [AdaptiveScale(0.2, target) for _ in range(p)]
-    x_scales = [AdaptiveScale(walk.scale, target) for _ in range(p)]
+    phi_scales = [AdaptiveScale(PHI_SCALE, target) for _ in range(p)]
     u_scales = [AdaptiveScale(0.3, target) for _ in range(p)]
     corr_scale = AdaptiveScale(0.05, TARGET_ACCEPT_BLOCK)
-    all_scales = h_scales + mu_scales + x_scales + u_scales + [corr_scale]
+    all_scales = h_scales + mu_scales + phi_scales + u_scales + [corr_scale]
 
     sites = _latent_sites(length)
     draws = np.empty((config.n_draws, 3 * p + p * (p - 1) // 2 + p * sites.size))
@@ -193,17 +195,15 @@ def sample(r, gaps, walk, priors, config):
             mu[i], accepted = _scalar_step(float(mu[i]), mu_target, mu_scales[i], rng)
             mu_accepts[i] += accepted if tracking else 0
 
-            def x_target(xv, mu_i=float(mu[i]), h_i=h_i, s2_i=s2_i):
-                log_prior = walk.log_prior(xv)
-                if log_prior == -math.inf:
-                    return log_prior
-                a2, c2 = _transition_arrays(walk.to_phi(xv), gaps)
-                return log_prior + transition_loglik(h_i, mu_i, a2, s2_i * c2)
+            def phi_target(phi_v, mu_i=float(mu[i]), h_i=h_i, s2_i=s2_i):
+                if phi_v <= 0.0 or phi_v >= 1.0:
+                    return -math.inf
+                a2, c2 = _transition_arrays(phi_v, gaps)
+                return priors.phi_logprior(phi_v) + transition_loglik(h_i, mu_i, a2, s2_i * c2)
 
-            value, accepted = _scalar_step(float(x[i]), x_target, x_scales[i], rng)
+            value, accepted = _scalar_step(float(phi[i]), phi_target, phi_scales[i], rng)
             if accepted:
-                x[i] = value
-                phi[i] = walk.to_phi(value)
+                phi[i] = value
                 trans[i] = _transition_arrays(float(phi[i]), gaps)
                 a_i, c_i = trans[i]
                 v[i] = s2_i * c_i

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -654,10 +655,15 @@ MALFORMED = {
     "sidecar-scale-factor": ("fit/rep000.chain.csv.meta.json",
                              _edit_json(lambda meta: meta.update(gap_scale_factor="abc")),
                              FORECAST, "gap_scale_factor"),
-    # every sidecar entry forecast relies on is required
+    # every sidecar entry forecast relies on is required, and so is the run's record
     **{f"sidecar-missing-{key}": ("fit/rep000.chain.csv.meta.json",
                                   _edit_json(lambda meta, key=key: meta.pop(key)), FORECAST, key)
-       for key in ("names", "model", "n_obs_fit", "asset_ids", "gap_scale_factor")},
+       for key in ("names", "model", "n_obs_fit", "asset_ids", "gap_scale_factor", "config",
+                   "acceptance_rates")},
+    **{f"sidecar-null-{key}": ("fit/rep000.chain.csv.meta.json",
+                               _edit_json(lambda meta, key=key: meta.update({key: None})),
+                               FORECAST, key)
+       for key in ("config", "acceptance_rates")},
 }
 
 
@@ -792,6 +798,44 @@ def test_threads_below_1_exit_2_before_any_job(tmp_path, capsys, monkeypatch, pi
     assert list(Path("out").iterdir()) == []
 
 
+FIT = ("fit", "--model", "irsv", "--data", "sim/rep000.csv", "--holdout", "20")
+# setting: (the command that reads it, the values each case gives it, the error it names)
+BAD_SETTINGS = {
+    "seed-simulate": (SIMULATE, {"seed": "-1"}, "--seed must be a non-negative integer, not -1"),
+    "seed-fit": (FIT, {"seed": "-4"}, "--seed must be a non-negative integer, not -4"),
+    "gap-mean-negative": (SIMULATE, {"gap_mean": "-1"},
+                          "--gap-mean must be a positive real, not -1.0"),
+    "gap-mean-nan": (SIMULATE, {"gap_mean": "nan"}, "--gap-mean must be a positive real, not nan"),
+    "gap-mean-inf": (SIMULATE, {"gap_mean": "inf"}, "--gap-mean must be a positive real, not inf"),
+    "thin-not-dividing": (FIT, {"iters": "100", "burnin": "50", "thin": "7"},
+                          "--iters 100, --burnin 50, --thin 7: (n_iterations - burn_in) must be "
+                          "divisible by thin"),
+    "burnin-not-below-iters": (FIT, {"iters": "100", "burnin": "100", "thin": "1"},
+                               "--iters 100, --burnin 100, --thin 1: burn_in must satisfy "
+                               "0 <= burn_in < n_iterations"),
+    "thin-zero": (FIT, {"iters": "100", "burnin": "50", "thin": "0"},
+                  "--iters 100, --burnin 50, --thin 0: thin must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "environment"])
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+def test_bad_settings_exit_2_naming_the_option_before_any_job(tmp_path, capsys, monkeypatch,
+                                                              pipeline, case, via):
+    argv, settings, message = BAD_SETTINGS[case]
+    shutil.copytree(pipeline, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    for name, value in settings.items():
+        if via == "flag":
+            argv += ("--" + name.replace("_", "-"), value)
+        else:
+            monkeypatch.setenv("IRVOL_" + name.upper(), value)
+    capsys.readouterr()
+    assert run(*argv, "--out", "out") == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not Path("out").exists()
+
+
 @pytest.mark.parametrize("text", ["1,,5", "1,five", "0,5"])
 def test_malformed_horizons_name_the_option(tmp_path, capsys, monkeypatch, pipeline, text):
     shutil.copytree(pipeline, tmp_path / "run")
@@ -860,6 +904,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, irvol.cli; assert 'scipy.optimize' not in sys.modules, 'loaded'"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_only_irgarch_imports_scipy():
+    # every stage pays for what irvol imports at start-up, and only the ML fits use scipy
+    package = Path(__file__).resolve().parent.parent / "src" / "irvol"
+    importers = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"irgarch.py"}
 
 
 def test_fit_hands_fit_irsv_one_row_of_t_sites(tmp_path, monkeypatch, pipeline):

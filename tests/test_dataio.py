@@ -202,12 +202,14 @@ class TestReturnsRoundTrip:
         np.testing.assert_array_equal(np.array(values), r2[0])
 
 
+# the config of a chain whose run does not matter to the test
+CONFIG = McmcConfig(200, 100, 1)
 # the fit record write_chain requires, for a one-asset irsv fit of 80 observations
 FIT_RECORD = {"model": "irsv", "gap_scale_factor": 7.0, "n_obs_fit": 80, "asset_ids": ["s1"],
               "data_file": "sim/rep000.csv"}
 
 
-def _small_chain(seed=0, config=None):
+def _small_chain(seed=0, config=CONFIG):
     rng = np.random.default_rng(seed)
     names = ("mu", "phi", "sigma_eta", "h_0", "h_9")
     draws = rng.normal(size=(100, len(names)))
@@ -231,7 +233,7 @@ class TestChainRoundTrip:
     def test_reads_back_under_forecast_expectations(self, tmp_path):
         # forecast expects the model, fit length and assets of the run that reads it
         path = tmp_path / "chain.csv"
-        write_chain(_small_chain(config=McmcConfig(200, 100, 1)), path, **FIT_RECORD)
+        write_chain(_small_chain(), path, **FIT_RECORD)
         _, meta = read_chain(path, model="irsv", n_obs_fit=80, asset_ids=["s1"])
         assert meta["gap_scale_factor"] == 7.0
         with pytest.raises(ValueError, match="n_obs_fit"):
@@ -248,7 +250,7 @@ class TestChainRoundTrip:
         names = ("x",)
         values = np.array([[0.1], [1e-300], [-1e308], [3.141592653589793],
                            [2.2250738585072014e-308]])
-        chain = McmcChain(names, values)
+        chain = McmcChain(names, values, {}, CONFIG)
         path = tmp_path / "chain.csv"
         write_chain(chain, path, **FIT_RECORD)
         np.testing.assert_array_equal(read_chain(path)[0].draws, values)
@@ -278,7 +280,7 @@ class TestChainRoundTrip:
 
 class TestWriteSummary:
     def test_table_layout(self, tmp_path):
-        chain = McmcChain(("mu",), np.full((50, 1), -8.9997))
+        chain = McmcChain(("mu",), np.full((50, 1), -8.9997), {}, CONFIG)
         summary = summarize(chain)
         path = tmp_path / "summary.csv"
         write_summary(summary, path)
@@ -287,7 +289,8 @@ class TestWriteSummary:
         assert lines[1] == "mu,-8.9997,0.0000,-8.9997,-8.9997"
 
     def test_without_true_values(self, tmp_path):
-        chain = McmcChain(("a", "b"), np.random.default_rng(3).normal(size=(40, 2)))
+        chain = McmcChain(("a", "b"), np.random.default_rng(3).normal(size=(40, 2)), {},
+                          CONFIG)
         path = tmp_path / "summary.csv"
         write_summary(summarize(chain), path)
         lines = path.read_text().splitlines()
@@ -300,7 +303,7 @@ class TestWriteSummary:
         assert path.read_text().splitlines() == ["parameter,mean,sd"]
 
     def test_non_ascii_rejected(self, tmp_path):
-        chain = McmcChain(("µ",), np.zeros((5, 1)))
+        chain = McmcChain(("µ",), np.zeros((5, 1)), {}, CONFIG)
         with pytest.raises(ValueError, match="ASCII"):
             write_summary(summarize(chain), tmp_path / "s.csv")
 

@@ -136,12 +136,9 @@ class TestReferenceEngine:
     def test_short_fits_match_the_reference_engine(self, p, kind, length, burn_in):
         r, gaps = _msv_returns(length, kind, seed=length + 7 * p + burn_in)
         r = r[:p]
-        if p == 1:
-            walk, priors = fm._irsv_walk(IrSvPriors()), IrSvPriors()
-        else:
-            walk, priors = fm._irmsv_walk(IrMsvPriors()), IrMsvPriors()
+        priors = IrSvPriors() if p == 1 else IrMsvPriors()
         config = McmcConfig(n_iterations=480, burn_in=burn_in, thin=3, rng_seed=length + p)
-        run = fm._sample(r, gaps, walk, priors, config)
-        draws, rates = reference_engine.sample(r, gaps, walk, priors, config)
+        run = fm._sample(r, gaps, priors, config)
+        draws, rates = reference_engine.sample(r, gaps, priors, config)
         np.testing.assert_array_equal(run.draws, draws)
         assert run.rates == rates

@@ -24,46 +24,81 @@ from irvol.mcmc import (
     summarize,
 )
 from irvol.mcmc import fit as fit_module
-from irvol.mcmc.fit import _irmsv_walk, _irsv_walk
 from irvol.mcmc.priors import beta_logpdf, truncated_normal_logpdf
+from irvol.mcmc.samplers import ADAPT_INTERVAL
+
+# the config of a chain whose run does not matter to the test
+CONFIG = McmcConfig(200, 100, 1)
 
 
 class TestPhiWalks:
-    def test_irsv_walks_w_under_beta(self):
-        walk = _irsv_walk(IrSvPriors())
-        assert (walk.start, walk.scale) == (0.75, 0.05)
-        assert walk.to_phi(walk.start) == 0.5
-        for w in (0.55, 0.75, 0.99):
-            assert walk.log_prior(w) == beta_logpdf(w, 20.0, 1.5)
-            assert walk.to_phi(w) == 2.0 * w - 1.0
+    """Both models walk phi itself; each brings only its prior."""
 
-    def test_irsv_support_keeps_phi_in_unit_interval(self):
-        walk = _irsv_walk(IrSvPriors())
-        # w <= 1/2 is phi <= 0; w >= 1 is phi >= 1
-        for w in (-0.1, 0.0, 0.25, 0.5, 1.0, 1.2):
-            assert walk.log_prior(w) == -math.inf
-        assert math.isfinite(walk.log_prior(0.5 + 1e-9))
+    def test_irsv_walks_phi_under_beta(self):
+        priors = IrSvPriors()
+        for phi in (0.01, 0.5, 0.99):
+            assert priors.phi_logprior(phi) == beta_logpdf((phi + 1.0) / 2.0, 20.0, 1.5)
+
+    def test_irsv_support_keeps_phi_in_unit_interval(self, monkeypatch):
+        # Beta(1.5, 20) on (phi + 1)/2 has its mode at phi = -0.95
+        r, gaps = _scenario_series(0.2, seed=14, length=80)
+        _assert_phi_kept_in_unit_interval(monkeypatch, fit_irsv, r, gaps,
+                                          IrSvPriors(phi_beta=(1.5, 20.0)), "phi")
 
     def test_irsv_beta_prior_mode(self):
-        # mode of Beta(20, 1.5) at (a-1)/(a+b-2) maps to phi = 0.9487179487
-        walk = _irsv_walk(IrSvPriors())
-        w_star = 19.0 / 19.5
-        assert walk.to_phi(w_star) == pytest.approx(0.9487179487179487, abs=1e-15)
-        base = walk.log_prior(w_star)
+        # mode of Beta(20, 1.5) at (a-1)/(a+b-2), that is phi = 0.9487179487
+        priors = IrSvPriors()
+        phi_star = 2.0 * (19.0 / 19.5) - 1.0
+        assert phi_star == pytest.approx(0.9487179487179487, abs=1e-15)
+        base = priors.phi_logprior(phi_star)
         for eps in (-1e-3, 1e-3):
-            assert walk.log_prior(w_star + eps) < base
+            assert priors.phi_logprior(phi_star + eps) < base
 
     def test_irmsv_walks_phi_under_truncated_normal(self):
-        walk = _irmsv_walk(IrMsvPriors(phi_normal=(0.2, 0.3)))
-        assert (walk.start, walk.scale) == (0.5, 0.1)
+        priors = IrMsvPriors(phi_normal=(0.2, 0.3))
         for phi in (0.01, 0.5, 0.99):
-            assert walk.to_phi(phi) == phi
-            assert walk.log_prior(phi) == truncated_normal_logpdf(phi, 0.2, 0.3, -1.0, 1.0)
+            assert priors.phi_logprior(phi) == truncated_normal_logpdf(phi, 0.2, 0.3, -1.0, 1.0)
 
-    def test_irmsv_support_keeps_phi_in_unit_interval(self):
-        walk = _irmsv_walk(IrMsvPriors())
-        for phi in (-0.5, 0.0, 1.0, 1.3):
-            assert walk.log_prior(phi) == -math.inf
+    def test_irmsv_support_keeps_phi_in_unit_interval(self, monkeypatch):
+        r, gaps = _msv_data(seed=30, length=60)
+        _assert_phi_kept_in_unit_interval(monkeypatch, fit_irmsv, r, gaps,
+                                          IrMsvPriors(phi_normal=(-0.9, 0.01)), "phi_1")
+
+    @pytest.mark.parametrize("model", ["irsv", "irmsv"])
+    def test_every_walk_starts_at_one_half_with_scale_one_tenth(self, monkeypatch, model):
+        if model == "irsv":
+            fit, (r, gaps) = fit_irsv, _scenario_series(0.5, seed=17, length=30)
+        else:
+            fit, (r, gaps) = fit_irmsv, _msv_data(seed=31, length=30)
+        steps = []
+        step = fit_module.adaptive_rwm_scalar
+
+        def spy(current, log_target, scale, rng, current_log_target=None):
+            steps.append((current, scale.values[0]))
+            return step(current, log_target, scale, rng, current_log_target)
+
+        monkeypatch.setattr(fit_module, "adaptive_rwm_scalar", spy)
+        fit(r, gaps, config=McmcConfig(1, 0))
+        # each asset's scalar steps are mu, phi and log sigma_eta**2, in that order
+        assert steps[1::3] == [(0.5, 0.1)] * (len(steps) // 3)
+
+
+def _assert_phi_kept_in_unit_interval(monkeypatch, fit, r, gaps, priors, column):
+    """Under a prior whose mass lies below 0, the chain still never evaluates
+    the gap-time law at a phi outside (0, 1), and its phi draws hug 0."""
+    law = fit_module._law
+    seen = []
+
+    def spy(phi, distinct):
+        seen.append(phi)
+        return law(phi, distinct)
+
+    monkeypatch.setattr(fit_module, "_law", spy)
+    chain, _ = fit(r, gaps, priors, McmcConfig(600, 200, 2, rng_seed=4))
+    assert 0.0 < min(seen) and max(seen) < 1.0
+    phi = chain.column(column)
+    assert np.all(phi > 0.0) and np.all(phi < 1.0)
+    assert np.median(phi) < 0.1
 
 
 class TestLkjLogDensity:
@@ -87,10 +122,9 @@ class TestAdaptiveScale:
 
     def test_a_vector_adapts_as_its_scales_alone(self):
         rng = np.random.default_rng(7)
-        interval = 20
-        vector = AdaptiveScale(self.START, self.TARGET, interval)
-        singles = [AdaptiveScale(value, self.TARGET, interval) for value in self.START]
-        for flags in rng.random((10 * interval + 3, 3)) < [0.1, 0.44, 0.9]:
+        vector = AdaptiveScale(self.START, self.TARGET)
+        singles = [AdaptiveScale(value, self.TARGET) for value in self.START]
+        for flags in rng.random((10 * ADAPT_INTERVAL + 3, 3)) < [0.1, 0.44, 0.9]:
             vector.observe(flags)
             for scale, flag in zip(singles, flags):
                 scale.observe(bool(flag))
@@ -98,8 +132,11 @@ class TestAdaptiveScale:
         assert vector.values.tolist() != self.START
 
     def test_a_round_multiplies_by_exp_of_rate_minus_target(self):
-        flags = np.array([[1, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1]], dtype=bool)
-        scale = AdaptiveScale(self.START, self.TARGET, interval=4)
+        # a quarter of the first scale's flags, none of the second's, all of the third's
+        flags = np.zeros((ADAPT_INTERVAL, 3), dtype=bool)
+        flags[: ADAPT_INTERVAL // 4, 0] = True
+        flags[:, 2] = True
+        scale = AdaptiveScale(self.START, self.TARGET)
         for row in flags[:-1]:
             scale.observe(row)
         assert scale.values.tolist() == self.START
@@ -109,35 +146,35 @@ class TestAdaptiveScale:
                                          for value, rate in zip(self.START, rates)]
 
     def test_a_frozen_scale_never_changes(self):
-        scale = AdaptiveScale(self.START, self.TARGET, interval=1)
+        scale = AdaptiveScale(self.START, self.TARGET)
         scale.freeze()
-        for flags in ([True] * 3, [False] * 3) * 50:
+        for flags in ([True] * 3, [False] * 3) * ADAPT_INTERVAL:
             scale.observe(flags)
         assert scale.values.tolist() == self.START
 
     def test_a_frozen_scale_counts_the_accepts_fed_since_freeze(self):
         rng = np.random.default_rng(11)
-        scale = AdaptiveScale(self.START, self.TARGET, interval=5)
-        for flags in rng.random((12, 3)) < 0.5:
+        scale = AdaptiveScale(self.START, self.TARGET)
+        for flags in rng.random((2 * ADAPT_INTERVAL + 2, 3)) < 0.5:
             scale.observe(flags)
         scale.freeze()
         values = scale.values.tolist()
-        fed = rng.random((40, 3)) < [0.1, 0.44, 0.9]
+        fed = rng.random((2 * ADAPT_INTERVAL, 3)) < [0.1, 0.44, 0.9]
         for flags in fed:
             scale.observe(flags)
         assert scale.accepted.tolist() == fed.sum(axis=0).tolist()
         assert scale.values.tolist() == values
 
     def test_a_scale_frozen_before_any_observation_counts_every_flag(self):
-        scale = AdaptiveScale(0.5, self.TARGET, interval=1)
+        scale = AdaptiveScale(0.5, self.TARGET)
         scale.freeze()
-        for flag in [True, False, True, True, False]:
+        for flag in [True, False, True, True, False] * (ADAPT_INTERVAL // 5 + 1):
             scale.observe(flag)
-        assert scale.accepted.tolist() == [3.0]
+        assert scale.accepted.tolist() == [3.0 * (ADAPT_INTERVAL // 5 + 1)]
 
     def test_the_tally_restarts_at_freeze_not_at_the_last_round(self):
-        scale = AdaptiveScale(0.5, self.TARGET, interval=4)
-        for _ in range(6):  # one round, then two accepts that no round has used
+        scale = AdaptiveScale(0.5, self.TARGET)
+        for _ in range(ADAPT_INTERVAL + 2):  # one round, then two accepts that no round has used
             scale.observe(True)
         scale.freeze()
         for flag in [False, True, False]:
@@ -186,7 +223,7 @@ class TestAdaptiveRwmScalar:
 
     def test_adaptation_reaches_target(self):
         rng = np.random.default_rng(3)
-        scale = AdaptiveScale(50.0, 0.44, interval=100)
+        scale = AdaptiveScale(50.0, 0.44)
         target = lambda x: -0.5 * x * x
         x = 0.0
         for _ in range(20_000):
@@ -216,7 +253,7 @@ class TestCorrelationBlockStep:
         # for p = 2 validity is exactly |rho| < 1, so a flat target should
         # produce rho ~ Uniform(-1, 1)
         rng = np.random.default_rng(5)
-        scale = AdaptiveScale(0.5, 0.234, interval=200)
+        scale = AdaptiveScale(0.5, 0.234)
         corr = np.eye(2)
         draws = np.empty(100_000)
         for i in range(draws.size):
@@ -243,7 +280,7 @@ class TestCorrelationBlockStep:
 class TestSummarize:
     def _chain(self, values, name="x"):
         arr = np.asarray(values, dtype=float)[:, np.newaxis]
-        return McmcChain((name,), arr)
+        return McmcChain((name,), arr, {}, CONFIG)
 
     def test_constant_chain(self):
         summary = summarize(self._chain(np.full(50, 2.5)))
@@ -278,7 +315,7 @@ class TestSummarize:
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
-            summarize(McmcChain(("x",), np.empty((0, 1))))
+            summarize(McmcChain(("x",), np.empty((0, 1)), {}, CONFIG))
 
 
 class TestConfig:
@@ -481,13 +518,13 @@ class TestAssetDraws:
     def test_latest_site_chosen_by_number(self):
         # the last site is the fit length less one, wherever its column is
         draws = np.arange(12.0).reshape(2, 6)
-        chain = McmcChain(("mu", "phi", "sigma_eta", "h_10", "h_9", "h_2"), draws)
+        chain = McmcChain(("mu", "phi", "sigma_eta", "h_10", "h_9", "h_2"), draws, {}, CONFIG)
         (_, _, _, last_h), = asset_draws(chain, "irsv", 1, 11)
         np.testing.assert_array_equal(last_h, chain.column("h_10"))
 
     def test_missing_columns_rejected(self):
         # an irsv chain without latent columns
-        chain = McmcChain(("mu", "phi", "sigma_eta"), np.zeros((40, 3)))
+        chain = McmcChain(("mu", "phi", "sigma_eta"), np.zeros((40, 3)), {}, CONFIG)
         with pytest.raises(KeyError, match="h_29"):
             asset_draws(chain, "irsv", 1, 30)
         with pytest.raises(KeyError, match="mu_1"):
