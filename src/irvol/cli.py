@@ -1,19 +1,16 @@
 """Command-line front end: simulate, fit, refresh, forecast, compare, replay.
 
-Every subcommand resolves the options it reads into one record and
-writes it into the ``manifest.json`` of its output directory twice: as
-``options``, and as ``argv_resolved``, the command line that sets every
-one of them, next to the input and produced files.  ``irvol replay``
-re-runs that command line in the directory the run was launched in, so
-it reproduces the run whatever the environment, config file or caller's
-directory.  Options the subcommand accepts but does not use go
-unrecorded.  A setting resolves in the order: command line,
-then ``IRVOL_<NAME>`` environment variables, then a ``--config`` file of
-``key = value`` lines, then its default in ``SETTINGS``; every such
-variable and every key must name one of ``SETTINGS``.  With
-``--threads 1`` (the default) every run is bit-reproducible for a fixed
-seed; replicate work parallelizes across processes with per-replicate
-seed streams, so outputs do not depend on the thread count.
+Every subcommand reads its options from its command-line flags alone,
+each unset flag taking its default, and writes them into the
+``manifest.json`` of its output directory twice: as ``options``, and as
+``argv_resolved``, the command line that sets every one of them, next to
+the input and produced files.  ``irvol replay`` re-runs that command line
+in the directory the run was launched in, so it reproduces the run
+whatever the caller's directory.  Options the subcommand accepts but does
+not use go unrecorded.  With ``--threads 1`` (the default) every run is
+bit-reproducible for a fixed seed; replicate work parallelizes across
+processes with per-replicate seed streams, so outputs do not depend on
+the thread count.
 
 Exit codes: 0 success, 1 I/O error, 2 validation error, 3 numerical
 failure; ``irvol replay`` exits with the replayed command's code.
@@ -35,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 import irvol
-from irvol.core import draw_positive_poisson, generate_gaps, scale_gaps
+from irvol.core import POISSON_MEAN_RANGE, draw_positive_poisson, generate_gaps, scale_gaps
 from irvol.dataio import (
     chain_meta_path,
     read_chain,
@@ -56,16 +53,14 @@ from irvol.mcmc import (DEFAULT_CONFIG, IrMsvPriors, IrSvPriors, McmcConfig, ass
                         fit_irmsv, fit_irsv)
 from irvol.refresh import aggregate_one_second, refresh_sample
 
-ENV_PREFIX = "IRVOL_"
 EXIT_OK, EXIT_IO, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2, 3
 MCMC_MODELS = ("irsv", "irmsv")
 ML_MODELS = ("irgarch", "irarch")
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # the sampler settings of an MCMC fit, by the McmcConfig field each sets
 MCMC_SETTINGS = {"iters": "n_iterations", "burnin": "burn_in", "thin": "thin"}
-# Options a flag, an IRVOL_<NAME> variable or a --config line can set: the
-# type of each and the default that holds when none of them does (None:
-# the subcommand needs a value).
+# The type of each setting's flag and its default (None: the subcommand
+# needs a value).
 SETTINGS = {
     "length": (int, None), "replicates": (int, 1), "gap_mean": (float, 3.0),
     "seed": (int, 0), "threads": (int, 1), "out": (str, None),
@@ -74,59 +69,9 @@ SETTINGS = {
 }
 
 
-def _read_config_file(path: str | None) -> dict[str, tuple[str, str]]:
-    """Each key of a --config file with its value text and where it is set.
-
-    Every key must be one of ``SETTINGS``, read by this subcommand or not.
-    """
-    if not path:
-        return {}
-    out: dict[str, tuple[str, str]] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        key = key.strip().lower()
-        if key not in SETTINGS:
-            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-        out[key] = (value.strip(), f"{path}: line {lineno}")
-    return out
-
-
-def _options(args, names, **defaults) -> dict:
-    """The value the subcommand reads for each named option, in order.
-
-    A setting resolves flag > IRVOL_<NAME> > --config entry > default,
-    the subcommand's own ``defaults`` before ``SETTINGS``; any other
-    option is its flag's value.  Every IRVOL_ variable must name one of
-    ``SETTINGS``, read by this subcommand or not.
-    """
-    given = _read_config_file(args.config)
-    for variable, text in os.environ.items():
-        if variable.startswith(ENV_PREFIX):
-            name = variable[len(ENV_PREFIX):].lower()
-            if name not in SETTINGS or ENV_PREFIX + name.upper() != variable:
-                raise ValueError(f"{variable}: unknown setting")
-            given[name] = (text, variable)
-    options = {}
-    for name in names:
-        value = getattr(args, name)
-        if value is None and name in SETTINGS:
-            cast, default = SETTINGS[name]
-            text, where = given.get(name, (None, None))
-            if text is None:
-                value = defaults.get(name, default)
-            else:
-                try:
-                    value = cast(text)
-                except ValueError:
-                    raise ValueError(f"{where}: {name}: invalid {cast.__name__} "
-                                     f"value {text!r}") from None
-        options[name] = value
-    return options
+def _options(args, names) -> dict:
+    """The value the subcommand reads for each named option, in order."""
+    return {name: getattr(args, name) for name in names}
 
 
 def _argv(subcommand: str, options: dict) -> list[str]:
@@ -257,8 +202,9 @@ def cmd_simulate(args) -> None:
         raise ValueError("--length must be a positive integer")
     if o["replicates"] < 1:
         raise ValueError("--replicates must be at least 1")
-    if not 0.0 < o["gap_mean"] < math.inf:
-        raise ValueError(f"--gap-mean must be a positive real, not {o['gap_mean']}")
+    low, high = POISSON_MEAN_RANGE
+    if not low <= o["gap_mean"] <= high:
+        raise ValueError(f"--gap-mean must lie in [{low:g}, {high:g}], not {o['gap_mean']}")
     if o["seed"] < 0:
         raise ValueError(f"--seed must be a non-negative integer, not {o['seed']}")
     out_dir = _out_dir(o["out"])
@@ -315,7 +261,7 @@ def cmd_fit(args) -> None:
     model = args.model
     mcmc = model in MCMC_MODELS
     o = _options(args, ("model", "data", *(("priors", "seed", "threads", *MCMC_SETTINGS)
-                                            if mcmc else ()), "holdout", "out"), holdout=0)
+                                            if mcmc else ()), "holdout", "out"))
     if mcmc:
         if o["seed"] < 0:
             raise ValueError(f"--seed must be a non-negative integer, not {o['seed']}")
@@ -518,11 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand")
 
     def setting(p, name, *aliases, **kwargs):
-        p.add_argument("--" + name.replace("_", "-"), *aliases, dest=name,
-                       type=SETTINGS[name][0], **kwargs)
+        cast, default = SETTINGS[name]
+        kwargs.setdefault("default", default)
+        p.add_argument("--" + name.replace("_", "-"), *aliases, dest=name, type=cast, **kwargs)
 
     def add_common(p):
-        p.add_argument("--config", default=None, help="key = value options file")
         setting(p, "seed")
         setting(p, "threads")
         setting(p, "out", help="output directory")
@@ -542,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--priors", default=None, help="JSON file of prior settings")
     for name in MCMC_SETTINGS:
         setting(p, name)
-    setting(p, "holdout", help="withhold this many final observations from the fit")
+    setting(p, "holdout", default=0, help="withhold this many final observations from the fit")
     add_common(p)
     p.set_defaults(handler=cmd_fit)
 

@@ -115,16 +115,24 @@ def squared_returns(returns) -> np.ndarray:
     return r2
 
 
+# The means draw_positive_poisson takes.  Below the lower end nearly every
+# draw is a zero, and redrawing them takes about log(count) / mean rounds;
+# above the upper end draws near 2**53 stop being exact float integers, and
+# numpy refuses means above about 9.2e18.
+POISSON_MEAN_RANGE = (0.1, 1e15)
+
+
 def draw_positive_poisson(count: int, mean: float = 3.0, seed=None) -> np.ndarray:
     """Zero-truncated Poisson draws: Poisson(mean) conditioned on being > 0.
 
     Zeros are rejected and redrawn, which preserves the zero-truncated
     distribution exactly.  Deterministic for a fixed seed.
     """
+    low, high = POISSON_MEAN_RANGE
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not np.isfinite(mean) or mean <= 0:
-        raise ValueError("mean must be a positive real")
+    if not low <= mean <= high:
+        raise ValueError(f"mean must lie in [{low:g}, {high:g}], not {mean}")
     rng = np.random.default_rng(seed)
     out = rng.poisson(mean, size=count).astype(float)
     mask = out == 0

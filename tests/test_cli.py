@@ -397,41 +397,12 @@ class TestReplayAndConfig:
         assert ((out / "rep000.csv").read_bytes()
                 == (replayed / "rep000.csv").read_bytes())
 
-    def test_config_file_and_env_override(self, tmp_path, sv_params, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# defaults\nseed = 33\nlength = 25\n")
-        out1 = tmp_path / "cfgrun"
-        assert run("simulate", "--model", "irsv", "--params", sv_params,
-                   "--config", cfg, "--out", out1) == 0
-        manifest = json.loads((out1 / "manifest.json").read_text())
-        assert manifest["options"]["seed"] == 33
-        assert manifest["options"]["length"] == 25
-
-        # environment beats the config file
-        monkeypatch.setenv("IRVOL_SEED", "44")
-        out2 = tmp_path / "envrun"
-        assert run("simulate", "--model", "irsv", "--params", sv_params,
-                   "--config", cfg, "--out", out2) == 0
-        manifest = json.loads((out2 / "manifest.json").read_text())
-        assert manifest["options"]["seed"] == 44
-
-        # explicit flag beats both
-        out3 = tmp_path / "flagrun"
-        assert run("simulate", "--model", "irsv", "--params", sv_params,
-                   "--config", cfg, "--seed", 55, "--out", out3) == 0
-        manifest = json.loads((out3 / "manifest.json").read_text())
-        assert manifest["options"]["seed"] == 55
-
     @pytest.mark.parametrize("model, params", [
         ("irsv", {"mu": -9.0, "phi": 0.2, "sigma_eta": 0.8}),
         ("irmsv", {"mu": [-9.0, -9.5], "phi": [0.7, 0.5], "sigma": [1.0, 0.9],
                    "correlation": [[1.0, 0.6], [0.6, 1.0]]}),
     ])
-    @pytest.mark.parametrize("source", ["flag", "env", "config"])
-    def test_replay_reproduces_fit_settings(self, tmp_path, monkeypatch, model, params,
-                                            source):
-        for key in [k for k in os.environ if k.startswith("IRVOL_")]:
-            monkeypatch.delenv(key)
+    def test_replay_reproduces_fit_settings(self, tmp_path, model, params):
         sim = tmp_path / "sim"
         assert run("simulate", "--model", model, "--params",
                    write_json(tmp_path / "p.json", params), "--length", 90, "--seed", 3,
@@ -439,44 +410,30 @@ class TestReplayAndConfig:
         settings = {"iters": "240", "burnin": "90", "thin": "6"}
         argv = ["fit", "--model", model, "--data", sim / "rep000.csv", "--seed", 9,
                 "--out", tmp_path / "fit"]
-        cfg = tmp_path / "run.cfg"
-        if source == "flag":
-            for name, value in settings.items():
-                argv += ["--" + name.replace("_", "-"), value]
-        elif source == "env":
-            for name, value in settings.items():
-                monkeypatch.setenv("IRVOL_" + name.upper(), value)
-        else:
-            cfg.write_text("".join(f"{name} = {value}\n" for name, value in settings.items()))
-            argv += ["--config", cfg]
+        for name, value in settings.items():
+            argv += ["--" + name, value]
         assert run(*argv) == 0
         meta = json.loads((tmp_path / "fit" / "rep000.chain.csv.meta.json").read_text())
         fields = {"iters": "n_iterations", "burnin": "burn_in", "thin": "thin"}
         assert {name: str(meta["config"][fields[name]]) for name in settings} == settings
 
-        for name in settings:
-            monkeypatch.delenv("IRVOL_" + name.upper(), raising=False)
-        cfg.unlink(missing_ok=True)
         replayed = tmp_path / "replayed"
         assert run("replay", "--manifest", tmp_path / "fit" / "manifest.json",
                    "--out", replayed) == 0
         for name in ("rep000.chain.csv", "rep000.chain.csv.meta.json", "rep000.summary.csv"):
             assert (tmp_path / "fit" / name).read_bytes() == (replayed / name).read_bytes()
 
-    @pytest.mark.parametrize("argv, env, config, output", [
-        (["simulate", "--model", "irsv", "--params", "sv.json"], {"IRVOL_SEED": "6"},
-         "length = 50\ngap_mean = 2.5\n", "rep000.csv"),
-        (["refresh", "--ticks", "ticks.csv", "--raw"], {"IRVOL_OUT": "run"}, "", "returns.csv"),
+    @pytest.mark.parametrize("argv, output", [
+        (["simulate", "--model", "irsv", "--params", "sv.json", "--seed", "6", "--length", "50",
+          "--gap-mean", "2.5"], "rep000.csv"),
+        (["refresh", "--ticks", "ticks.csv", "--raw"], "returns.csv"),
         (["forecast", "--model", "irsv", "--chain", "fit/rep000.chain.csv",
-          "--data", "sim/rep000.csv"], {"IRVOL_HOLDOUT": "20"}, "horizons = 1,3,20\n",
+          "--data", "sim/rep000.csv", "--holdout", "20", "--horizons", "1,3,20"],
          "forecast.csv"),
-        (["compare", "--forecasts", "fc/forecast.csv", "--data", "sim/rep000.csv"],
-         {"IRVOL_HOLDOUT": "20"}, "", "mae.csv"),
-    ])
-    def test_replay_reproduces_each_subcommand(self, tmp_path, monkeypatch, argv, env, config,
-                                               output):
-        for key in [k for k in os.environ if k.startswith("IRVOL_")]:
-            monkeypatch.delenv(key)
+        (["compare", "--forecasts", "fc/forecast.csv", "--data", "sim/rep000.csv",
+          "--holdout", "20"], "mae.csv"),
+    ], ids=["simulate", "refresh", "forecast", "compare"])
+    def test_replay_reproduces_each_subcommand(self, tmp_path, monkeypatch, argv, output):
         monkeypatch.chdir(tmp_path)
         write_json(tmp_path / "sv.json", {"mu": -9.0, "phi": 0.2, "sigma_eta": 0.8})
         (tmp_path / "ticks.csv").write_text(TICKS)
@@ -489,14 +446,7 @@ class TestReplayAndConfig:
                    "--data", "sim/rep000.csv", "--holdout", 20, "--horizons", "1,5",
                    "--out", "fc") == 0
 
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-        (tmp_path / "run.cfg").write_text(config)
-        out = [] if "IRVOL_OUT" in env else ["--out", "run"]
-        assert run(*argv, "--config", "run.cfg", *out) == 0
-        for key in env:
-            monkeypatch.delenv(key)
-        (tmp_path / "run.cfg").unlink()
+        assert run(*argv, "--out", "run") == 0
         assert run("replay", "--manifest", "run/manifest.json", "--out", "replayed") == 0
         assert ((tmp_path / "run" / output).read_bytes()
                 == (tmp_path / "replayed" / output).read_bytes())
@@ -513,53 +463,51 @@ class TestReplayAndConfig:
         assert Path.cwd() == tmp_path / out
         assert Path("again/rep000.csv").read_bytes() == Path("rep000.csv").read_bytes()
 
-    @pytest.mark.parametrize("line, message", [
-        ("latent-stride = 7", "line 2: unknown key 'latent-stride'"),
-        ("latnet_stride = 7", "line 2: unknown key 'latnet_stride'"),
-        ("gap_mean = wide", "line 2: gap_mean: invalid float value 'wide'"),
-    ])
-    def test_bad_config_line_exits_2(self, tmp_path, capsys, sv_params, line, message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"seed = 3\n{line}\n")
-        assert run("simulate", "--model", "irsv", "--params", sv_params, "--length", 20,
-                   "--config", cfg, "--out", tmp_path / "o") == 2
-        assert f"{cfg}: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("variable", ["IRVOL_LATNET_STRIDE", "IRVOL_seed"])
-    def test_unknown_environment_variable_exits_2(self, tmp_path, capsys, monkeypatch,
-                                                  sv_params, variable):
-        monkeypatch.setenv(variable, "7")
-        assert run("simulate", "--model", "irsv", "--params", sv_params, "--length", 20,
-                   "--out", tmp_path / "o") == 2
-        assert f"error: {variable}: unknown setting\n" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     # the sampler settings are the run length alone; these three are fixed
     @pytest.mark.parametrize("name", ["adapt_interval", "latent_stride", "progress_every"])
-    @pytest.mark.parametrize("source", ["flag", "env", "config"])
-    def test_fixed_sampler_settings_exit_2(self, tmp_path, capsys, monkeypatch, pipeline,
-                                           name, source):
+    def test_fixed_sampler_settings_exit_2(self, tmp_path, capsys, monkeypatch, pipeline, name):
         monkeypatch.chdir(pipeline)
-        argv = ["fit", "--model", "irsv", "--data", "sim/rep000.csv", "--iters", 20,
-                "--burnin", 10, "--out", tmp_path / "out"]
-        if source == "flag":
-            flag = "--" + name.replace("_", "-")
-            argv += [flag, 7]
-            message = f"error: unrecognized arguments: {flag} 7\n"
-        elif source == "env":
-            monkeypatch.setenv("IRVOL_" + name.upper(), "7")
-            message = f"error: IRVOL_{name.upper()}: unknown setting\n"
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"{name} = 7\n")
-            argv += ["--config", cfg]
-            message = f"error: {cfg}: line 1: unknown key {name!r}\n"
-        try:
-            code = run(*argv)
-        except SystemExit as exc:  # argparse's exit on a flag it does not know
-            code = exc.code
-        assert code == 2
-        assert message in capsys.readouterr().err
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:  # argparse's exit on a flag it does not know
+            run("fit", "--model", "irsv", "--data", "sim/rep000.csv", "--iters", 20,
+                "--burnin", 10, flag, 7, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag} 7\n" in capsys.readouterr().err
+
+    def test_environment_and_config_files_set_nothing(self, tmp_path, capsys, monkeypatch):
+        # a setting comes from its flag or its default alone: IRVOL_ variables,
+        # misspelt or not, change no byte, and --config is no option
+        for directory in ("plain", "environment"):
+            (tmp_path / directory).mkdir()
+            monkeypatch.chdir(tmp_path / directory)
+            write_json(Path("sv.json"), {"mu": -9.0, "phi": 0.2, "sigma_eta": 0.8})
+            if directory == "environment":
+                monkeypatch.setenv("IRVOL_SEED", "5")
+                monkeypatch.setenv("IRVOL_LATNET_STRIDE", "7")
+            assert run("simulate", "--model", "irsv", "--params", "sv.json", "--length", 60,
+                       "--out", "sim") == 0
+            assert run("fit", "--model", "irsv", "--data", "sim/rep000.csv", "--iters", 40,
+                       "--burnin", 10, "--out", "fit") == 0
+        for plain in sorted((tmp_path / "plain").rglob("*.*")):
+            again = tmp_path / "environment" / plain.relative_to(tmp_path / "plain")
+            if plain.name == "manifest.json":
+                untimed = [{key: value for key, value in json.loads(path.read_text()).items()
+                            if key not in ("started_utc", "elapsed_seconds")}
+                           for path in (plain, again)]
+                assert untimed[0] == untimed[1]
+            else:
+                assert plain.read_bytes() == again.read_bytes()
+
+        capsys.readouterr()
+        for subcommand in ("simulate", "fit", "refresh", "forecast", "compare"):
+            with pytest.raises(SystemExit):
+                run(subcommand, "--help")
+            assert "--config" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--model", "irsv", "--params", "sv.json", "--length", 60,
+                "--config", "run.cfg", "--out", "cfg")
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --config run.cfg\n" in capsys.readouterr().err
 
     def test_replay_returns_the_replayed_exit_code(self, tmp_path, capsys, monkeypatch,
                                                    pipeline):
@@ -572,14 +520,13 @@ class TestReplayAndConfig:
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """A directory with ticks, a config file, a simulated series and its fit
-    and forecast, every path relative to it."""
+    """A directory with ticks, a simulated series and its fit and forecast,
+    every path relative to it."""
     root = tmp_path_factory.mktemp("pipeline")
     cwd = os.getcwd()
     os.chdir(root)
     try:
         (root / "ticks.csv").write_text(TICKS)
-        (root / "run.cfg").write_text("seed = 3\n")
         write_json(root / "sv.json", {"mu": -9.0, "phi": 0.2, "sigma_eta": 0.8})
         write_json(root / "priors.json", {"phi_beta": [20, 1.5]})
         assert run("simulate", "--model", "irsv", "--params", "sv.json", "--length", 100,
@@ -639,9 +586,6 @@ MALFORMED = {
     "forecast-horizon": ("fc/forecast.csv", _edit_line(2, lambda line: line.replace(",1,", ",one,")),
                          ("compare", "--forecasts", "fc/forecast.csv", "--data",
                           "sim/rep000.csv", "--holdout", "20"), 2),
-    "config": ("run.cfg", lambda text: text + "latent-stride = 7\n",
-               ("simulate", "--model", "irsv", "--params", "sv.json", "--length", "20",
-                "--config", "run.cfg"), 2),
     "manifest": ("fit/manifest.json", lambda text: text[: len(text) // 2],
                  ("replay", "--manifest", "fit/manifest.json"), None),
     "params-null": ("sv.json", _edit_json(lambda params: params.update(mu=None)), SIMULATE,
@@ -782,18 +726,13 @@ def test_forecast_of_a_chain_without_the_last_site_names_the_chain(tmp_path, cap
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
-@pytest.mark.parametrize("via", ["flag", "environment"])
 @pytest.mark.parametrize("argv", [SIMULATE, FIT_WITH_PRIORS], ids=["simulate", "fit"])
 def test_threads_below_1_exit_2_before_any_job(tmp_path, capsys, monkeypatch, pipeline, argv,
-                                               via, threads):
+                                               threads):
     shutil.copytree(pipeline, tmp_path / "run")
     monkeypatch.chdir(tmp_path / "run")
-    if via == "flag":
-        argv += ("--threads", threads)
-    else:
-        monkeypatch.setenv("IRVOL_THREADS", threads)
     capsys.readouterr()
-    assert run(*argv, "--out", "out") == 2
+    assert run(*argv, "--threads", threads, "--out", "out") == 2
     assert f"error: --threads must be at least 1, not {threads}\n" in capsys.readouterr().err
     assert list(Path("out").iterdir()) == []
 
@@ -804,9 +743,9 @@ BAD_SETTINGS = {
     "seed-simulate": (SIMULATE, {"seed": "-1"}, "--seed must be a non-negative integer, not -1"),
     "seed-fit": (FIT, {"seed": "-4"}, "--seed must be a non-negative integer, not -4"),
     "gap-mean-negative": (SIMULATE, {"gap_mean": "-1"},
-                          "--gap-mean must be a positive real, not -1.0"),
-    "gap-mean-nan": (SIMULATE, {"gap_mean": "nan"}, "--gap-mean must be a positive real, not nan"),
-    "gap-mean-inf": (SIMULATE, {"gap_mean": "inf"}, "--gap-mean must be a positive real, not inf"),
+                          "--gap-mean must lie in [0.1, 1e+15], not -1.0"),
+    "gap-mean-nan": (SIMULATE, {"gap_mean": "nan"}, "--gap-mean must lie in [0.1, 1e+15], not nan"),
+    "gap-mean-inf": (SIMULATE, {"gap_mean": "inf"}, "--gap-mean must lie in [0.1, 1e+15], not inf"),
     "thin-not-dividing": (FIT, {"iters": "100", "burnin": "50", "thin": "7"},
                           "--iters 100, --burnin 50, --thin 7: (n_iterations - burn_in) must be "
                           "divisible by thin"),
@@ -818,18 +757,14 @@ BAD_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("via", ["flag", "environment"])
 @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
 def test_bad_settings_exit_2_naming_the_option_before_any_job(tmp_path, capsys, monkeypatch,
-                                                              pipeline, case, via):
+                                                              pipeline, case):
     argv, settings, message = BAD_SETTINGS[case]
     shutil.copytree(pipeline, tmp_path / "run")
     monkeypatch.chdir(tmp_path / "run")
     for name, value in settings.items():
-        if via == "flag":
-            argv += ("--" + name.replace("_", "-"), value)
-        else:
-            monkeypatch.setenv("IRVOL_" + name.upper(), value)
+        argv += ("--" + name.replace("_", "-"), value)
     capsys.readouterr()
     assert run(*argv, "--out", "out") == 2
     assert f"error: {message}\n" in capsys.readouterr().err
@@ -899,11 +834,29 @@ def test_data_files_sharing_a_stem_exit_2_before_any_fit(tmp_path, capsys, model
     assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def _python(*argv, timeout):
+    """``python *argv`` with this checkout's ``src`` on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *map(str, argv)], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
     code = "import sys, irvol.cli; assert 'scipy.optimize' not in sys.modules, 'loaded'"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert _python("-c", code, timeout=120).returncode == 0
+
+
+# at --gap-mean 1e-300 nearly every Poisson draw is a zero and redrawing them
+# would never end, hence the subprocess and its timeout; numpy refuses 1e20
+@pytest.mark.parametrize("gap_mean", ["1e-300", "1e20"])
+def test_gap_mean_outside_the_poisson_range_exits_2_naming_it(tmp_path, sv_params, gap_mean):
+    done = _python("-m", "irvol.cli", "simulate", "--model", "irsv", "--params", sv_params,
+                   "--length", 20, "--gap-mean", gap_mean, "--out", tmp_path / "o", timeout=120)
+    assert done.returncode == 2
+    assert (f"error: --gap-mean must lie in [0.1, 1e+15], not {float(gap_mean)}\n"
+            in done.stderr)
+    assert not (tmp_path / "o").exists()
 
 
 def test_only_irgarch_imports_scipy():

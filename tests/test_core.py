@@ -107,8 +107,13 @@ class TestGenerateGaps:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             generate_gaps(0, 3.0)
-        with pytest.raises(ValueError):
-            generate_gaps(5, -1.0)
+        for mean in (-1.0, 0.05, 1e20, math.nan):
+            with pytest.raises(ValueError, match=r"mean must lie in \[0.1, 1e\+15\]"):
+                generate_gaps(5, mean)
+
+    def test_draws_at_mean_3_are_pinned(self):
+        # the simulate outputs of every earlier release rest on these draws
+        assert draw_positive_poisson(8, 3.0, seed=123).tolist() == [1, 1, 3, 5, 5, 1, 3, 6]
 
 
 class TestTypes:
