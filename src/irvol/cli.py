@@ -49,8 +49,9 @@ from irvol.dataio import (
 from irvol.irgarch import IrGarchParams, fit_ml, simulate_irgarch
 from irvol.irmsv import CorrelationMatrix, IrMsvParams, simulate_irmsv
 from irvol.irsv import IrSvParams, forecast, simulate_irsv
-from irvol.mcmc import (DEFAULT_CONFIG, IrMsvPriors, IrSvPriors, McmcConfig, asset_draws,
-                        fit_irmsv, fit_irsv)
+from irvol.mcmc.chain import McmcConfig
+from irvol.mcmc.fit import DEFAULT_CONFIG, asset_draws, fit_irmsv, fit_irsv
+from irvol.mcmc.priors import IrMsvPriors, IrSvPriors
 from irvol.refresh import aggregate_one_second, refresh_sample
 
 EXIT_OK, EXIT_IO, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -363,14 +364,16 @@ def cmd_forecast(args) -> None:
     n_fit = n - holdout
     chain, meta = read_chain(o["chain"], model=model, n_obs_fit=n_fit, asset_ids=assets)
     future_gaps = gaps[n_fit - 1:] / meta["gap_scale_factor"]
+    if not (future_gaps > 0).all():
+        raise ValueError(f"{o['data']}: the holdout gaps must be positive")
 
-    try:
+    try:  # with the gaps checked, every fault left is in the chain's draws
         groups = asset_draws(chain, model, len(assets), n_fit)
-    except KeyError as exc:
+        fcs = [forecast(*draws, future_gaps, steps=horizons) for draws in groups]
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"{o['chain']}: {exc.args[0]}") from None
     rows = []
-    for asset, (mu, phi, sigma2, last_h) in zip(assets, groups):
-        fc = forecast(mu, phi, sigma2, last_h, future_gaps, steps=horizons)
+    for asset, fc in zip(assets, fcs):
         for k, horizon in enumerate(horizons):
             vol = float(fc.vol_mean[k])
             rows.append([model, asset, horizon, float(fc.h_mean[k]), float(fc.h_q025[k]),

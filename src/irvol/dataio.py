@@ -333,8 +333,13 @@ def _forecast_parser(header):
 
     def parse(cells) -> dict:
         model, asset, horizon, *values = (cells[k] for k in index)
-        return {"model": model, "asset": asset, "horizon": int(horizon),
-                **dict(zip(FORECAST_COLUMNS[3:], _floats(values)))}
+        horizon, values = int(horizon), _floats(values)
+        if horizon < 1:
+            raise ValueError(f"horizon {horizon} is below 1")
+        if not np.isfinite(values).all():
+            raise ValueError("number is not finite")
+        return {"model": model, "asset": asset, "horizon": horizon,
+                **dict(zip(FORECAST_COLUMNS[3:], values))}
 
     return parse
 
@@ -352,7 +357,17 @@ def write_forecasts(path, rows) -> None:
 
 def read_forecasts(path) -> list[dict]:
     """Read a forecast file's rows: model, asset, integer horizon and the
-    three forecast columns as floats, by column name."""
+    three forecast columns as floats, by column name.
+
+    Every row must name the first row's model, have a horizon of at least
+    1 and finite forecasts; an error names the file and the line.
+    """
     rows = _read_csv(path, _forecast_parser)
     next(rows)
-    return [row for _, row in rows]
+    out = []
+    for lineno, row in rows:
+        if out and row["model"] != out[0]["model"]:
+            raise ValueError(f"{path}: line {lineno}: model {row['model']!r} is not the "
+                             f"file's model {out[0]['model']!r}")
+        out.append(row)
+    return out

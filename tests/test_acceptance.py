@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 from reference_densities import lkj_log_density
+from reference_oracles import batch_se, brute_force_refresh
 
 from irvol import moments
 from irvol.cli import main as cli_main
@@ -19,28 +20,15 @@ from irvol.core import draw_positive_poisson, generate_gaps
 from irvol.irgarch import IrGarchParams, fit_ml, simulate_irgarch
 from irvol.irmsv import CorrelationMatrix, IrMsvParams, simulate_irmsv
 from irvol.irsv import IrSvParams, simulate_irsv
-from irvol.mcmc import (
-    AdaptiveScale,
-    McmcConfig,
-    adaptive_rwm_scalar,
-    correlation_block_step,
-    effective_sample_size,
-    fit_irmsv,
-    fit_irsv,
-)
+from irvol.mcmc.chain import McmcConfig, effective_sample_size
+from irvol.mcmc.fit import fit_irmsv, fit_irsv
 from irvol.mcmc.priors import beta_logpdf, variance_logprior
+from irvol.mcmc.samplers import AdaptiveScale, adaptive_rwm_scalar, correlation_block_step
 from irvol.refresh import refresh_times
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
-
-
-def batch_se(values, n_batches=100):
-    values = np.asarray(values)
-    usable = (values.size // n_batches) * n_batches
-    batches = values[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(batches.std(ddof=1) / math.sqrt(n_batches))
 
 
 def mc_se(chain_values):
@@ -69,7 +57,7 @@ def test_criterion_1_moment_oracles(scenario, phi):
     failures = []
 
     err = abs(r2.mean() - moments.irsv_mean_sq(params))
-    tol = 3.0 * batch_se(r2)
+    tol = 3.0 * batch_se(r2, n_batches=100)
     if not err < tol:
         failures.append(f"E[r^2] off by {err:.3g} (tol {tol:.3g})")
 
@@ -94,7 +82,7 @@ def test_criterion_1_moment_oracles(scenario, phi):
         lead = r2_full[offset: offset + n]
         prod = (r2 - r2.mean()) * (lead - lead.mean())
         err = abs(prod.mean() - moments.irsv_autocov_sq(params, lag))
-        tol = 3.0 * batch_se(prod)
+        tol = 3.0 * batch_se(prod, n_batches=100)
         if not err < tol:
             failures.append(f"autocov(l={lag:g}) off by {err:.3g} (tol {tol:.3g})")
 
@@ -197,13 +185,13 @@ def test_criterion_4_irmsv_squared_covariance():
     failures = []
     for i in range(3):
         err = abs(r2[i].mean() - mean_vec[i])
-        tol = 3.0 * batch_se(r2[i])
+        tol = 3.0 * batch_se(r2[i], n_batches=100)
         if not err < tol:
             failures.append(f"mean r2_{i + 1} off by {err:.3g} (tol {tol:.3g})")
         for k in range(i + 1, 3):
             prod = (r2[i] - r2[i].mean()) * (r2[k] - r2[k].mean())
             err = abs(prod.mean() - expected[i, k])
-            tol = 3.0 * batch_se(prod)
+            tol = 3.0 * batch_se(prod, n_batches=100)
             if not err < tol:
                 failures.append(f"cov({i + 1},{k + 1}) off by {err:.3g} (tol {tol:.3g})")
     report("4", not failures,
@@ -255,18 +243,6 @@ def test_criterion_6_unconditional_variance_law():
 # --------------------------------------------------------------------------
 # criterion 7: refresh-time recursion vs an independent brute force
 # --------------------------------------------------------------------------
-
-def brute_force_refresh(times):
-    taus = [max(t[0] for t in times)]
-    while True:
-        candidates = []
-        for t in times:
-            n_at_tau = sum(1 for x in t if x <= taus[-1])
-            if n_at_tau + 1 > len(t):
-                return taus
-            candidates.append(t[n_at_tau])
-        taus.append(max(candidates))
-
 
 def test_criterion_7_refresh_oracle():
     np.testing.assert_allclose(refresh_times([[1, 3, 5], [2, 3, 6]]), [2, 3, 6])

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -542,6 +543,8 @@ def pipeline(tmp_path_factory):
 
 FORECAST = ("forecast", "--model", "irsv", "--chain", "fit/rep000.chain.csv",
             "--data", "sim/rep000.csv", "--holdout", "20", "--horizons", "1,5")
+COMPARE = ("compare", "--forecasts", "fc/forecast.csv", "--data", "sim/rep000.csv", "--holdout",
+           "20")
 SIMULATE = ("simulate", "--model", "irsv", "--params", "sv.json", "--length", "20")
 FIT_WITH_PRIORS = ("fit", "--model", "irsv", "--data", "sim/rep000.csv", "--priors",
                    "priors.json", "--iters", "20", "--burnin", "10", "--holdout", "20")
@@ -567,6 +570,20 @@ def _edit_sidecar_config(**changes):
     return _edit_json(lambda meta: meta["config"].update(changes))
 
 
+def _edit_cell(lineno, column, value):
+    def edit(line):
+        cells = line.split(",")
+        cells[column] = value
+        return ",".join(cells)
+    return _edit_line(lineno, edit)
+
+
+def _zero_last_gap(text):
+    lines = text.splitlines()
+    lines[-1] = ",".join([lines[-2].split(",")[0], "0.0", lines[-1].split(",")[2]])
+    return "\n".join(lines) + "\n"
+
+
 # input kind: (the file made malformed, its edit, the command that reads it, the
 # line the error must name, the key of a JSON record it must name, or None)
 MALFORMED = {
@@ -581,11 +598,20 @@ MALFORMED = {
     "sidecar-string-count": ("fit/rep000.chain.csv.meta.json",
                              _edit_sidecar_config(n_iterations="10"), FORECAST, None),
     "forecast-short-row": ("fc/forecast.csv", _edit_line(2, lambda line: line.rsplit(",", 1)[0]),
-                           ("compare", "--forecasts", "fc/forecast.csv", "--data",
-                            "sim/rep000.csv", "--holdout", "20"), 2),
+                           COMPARE, 2),
     "forecast-horizon": ("fc/forecast.csv", _edit_line(2, lambda line: line.replace(",1,", ",one,")),
-                         ("compare", "--forecasts", "fc/forecast.csv", "--data",
-                          "sim/rep000.csv", "--holdout", "20"), 2),
+                         COMPARE, 2),
+    # rows compare would score wrongly: a horizon below 1 would index the
+    # holdout from its end, a non-finite forecast gives a non-finite MAE,
+    # and every row is labelled with the first row's model
+    **{f"forecast-{case}": ("fc/forecast.csv", _edit_cell(line, column, value), COMPARE, line)
+       for case, line, column, value in [("horizon-0", 2, 2, "0"), ("horizon-neg", 3, 2, "-3"),
+                                         ("nan", 2, 6, "nan"), ("inf", 3, 8, "inf"),
+                                         ("second-model", 3, 0, "irmsv")]},
+    # a draw forecasting cannot use, and a holdout gap it cannot span
+    "chain-phi-nan": ("fit/rep000.chain.csv", _edit_cell(2, 1, "nan"), FORECAST, None),
+    "chain-phi-above-1": ("fit/rep000.chain.csv", _edit_cell(2, 1, "1.5"), FORECAST, None),
+    "returns-zero-holdout-gap": ("sim/rep000.csv", _zero_last_gap, FORECAST, None),
     "manifest": ("fit/manifest.json", lambda text: text[: len(text) // 2],
                  ("replay", "--manifest", "fit/manifest.json"), None),
     "params-null": ("sv.json", _edit_json(lambda params: params.update(mu=None)), SIMULATE,
@@ -625,7 +651,7 @@ def test_malformed_input_exits_with_a_code_naming_the_file(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
     if isinstance(where, int):
-        assert f"{name}: line {where}: " in err
+        assert code == 2 and f"{name}: line {where}: " in err
     elif where is not None:
         assert code == 2 and f"{name}: {where}: " in err
 
@@ -870,6 +896,30 @@ def test_only_irgarch_imports_scipy():
             if any(module.split(".")[0] == "scipy" for module in modules):
                 importers.add(path.relative_to(package).as_posix())
     assert importers == {"irgarch.py"}
+
+
+# every module but the CLI, which imports irgarch, loads without scipy
+@pytest.mark.parametrize("module", ["irvol", "irvol.core", "irvol.irsv", "irvol.irmsv",
+                                    "irvol.moments", "irvol.refresh", "irvol.dataio",
+                                    "irvol.mcmc.fit"])
+def test_library_import_leaves_scipy_unloaded(module):
+    code = (f"import sys, {module}; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'loaded'")
+    assert _python("-c", code, timeout=120).returncode == 0
+
+
+def test_cli_import_loads_scipy_linalg():
+    # a CLI start-up without scipy leaves the benchmark's short traced stages
+    # under its span-coverage floor (ROADMAP direction 0)
+    code = "import sys, irvol.cli; assert 'scipy.linalg' in sys.modules, 'not loaded'"
+    assert _python("-c", code, timeout=120).returncode == 0
+
+
+def test_package_exposes_only_its_version_and_submodules():
+    import irvol
+    public = {name for name, value in vars(irvol).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set() and isinstance(irvol.__version__, str)
 
 
 def test_fit_hands_fit_irsv_one_row_of_t_sites(tmp_path, monkeypatch, pipeline):

@@ -15,7 +15,7 @@ from irvol.dataio import (
     write_returns,
     write_summary,
 )
-from irvol.mcmc import McmcChain, McmcConfig, summarize
+from irvol.mcmc.chain import McmcChain, McmcConfig, summarize
 
 
 def _write(path, text):

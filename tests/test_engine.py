@@ -11,8 +11,9 @@ from reference_densities import joint_observation_density, path_log_prior
 from irvol.core import LOG_2PI
 from irvol.irmsv import CorrelationMatrix, IrMsvParams, simulate_irmsv
 from irvol.irsv import IrSvParams
-from irvol.mcmc import IrMsvPriors, IrSvPriors, McmcConfig
 from irvol.mcmc import fit as fm
+from irvol.mcmc.chain import McmcConfig
+from irvol.mcmc.priors import IrMsvPriors, IrSvPriors
 
 
 def _gaps(kind: str, count: int, rng) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_oracles import batch_se
 
 from irvol.core import LOG_2PI, draw_positive_poisson
 from irvol.irgarch import (
@@ -19,13 +20,6 @@ from irvol.irgarch import (
 
 NEG_HALF_LOG_2PI = -0.9189385332046727
 SCENARIO_1 = IrGarchParams(0.01, 0.7, 0.25)
-
-
-def batch_se(values, n_batches=50):
-    values = np.asarray(values)
-    usable = (values.size // n_batches) * n_batches
-    batches = values[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(batches.std(ddof=1) / math.sqrt(n_batches))
 
 
 def reference_path(params, r2, gaps):

@@ -5,18 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from reference_densities import observation_density, state_transition_density, stationary_state_density
+from reference_oracles import batch_se
 
 from irvol.core import generate_gaps
 from irvol.irsv import IrSvParams, forecast, gap_law, simulate_irsv
 
 NEG_HALF_LOG_2PI = -0.9189385332046727
-
-
-def batch_se(values, n_batches=50):
-    values = np.asarray(values)
-    usable = (values.size // n_batches) * n_batches
-    batches = values[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(batches.std(ddof=1) / math.sqrt(n_batches))
 
 
 class TestParams:

@@ -9,23 +9,12 @@ from scipy import stats
 from irvol.core import generate_gaps
 from irvol.irmsv import CorrelationMatrix, IrMsvParams, simulate_irmsv
 from irvol.irsv import IrSvParams, simulate_irsv
-from irvol.mcmc import (
-    AdaptiveScale,
-    IrMsvPriors,
-    IrSvPriors,
-    McmcChain,
-    McmcConfig,
-    adaptive_rwm_scalar,
-    asset_draws,
-    correlation_block_step,
-    effective_sample_size,
-    fit_irmsv,
-    fit_irsv,
-    summarize,
-)
 from irvol.mcmc import fit as fit_module
-from irvol.mcmc.priors import beta_logpdf, truncated_normal_logpdf
-from irvol.mcmc.samplers import ADAPT_INTERVAL
+from irvol.mcmc.chain import McmcChain, McmcConfig, effective_sample_size, summarize
+from irvol.mcmc.fit import asset_draws, fit_irmsv, fit_irsv
+from irvol.mcmc.priors import IrMsvPriors, IrSvPriors, beta_logpdf, truncated_normal_logpdf
+from irvol.mcmc.samplers import (ADAPT_INTERVAL, AdaptiveScale, adaptive_rwm_scalar,
+                                 correlation_block_step)
 
 # the config of a chain whose run does not matter to the test
 CONFIG = McmcConfig(200, 100, 1)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_oracles import batch_se
 
 from irvol import moments
 from irvol.core import generate_gaps
@@ -11,14 +12,6 @@ from irvol.irsv import IrSvParams, simulate_irsv
 # Expected values below were computed with 40-digit arithmetic (mpmath)
 # from the closed forms and cross-checked by Monte Carlo.
 P1 = IrSvParams(mu=-9.0, phi=0.2, sigma_eta=0.8)
-
-
-def batch_se(values, n_batches=50):
-    """Monte Carlo standard error of the mean via batch means."""
-    values = np.asarray(values)
-    usable = (values.size // n_batches) * n_batches
-    batches = values[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(batches.std(ddof=1) / math.sqrt(n_batches))
 
 
 class TestMeanSq:

@@ -1,26 +1,9 @@
 import numpy as np
 import pytest
+from reference_oracles import brute_force_refresh
 
 from irvol.core import TickSeries
 from irvol.refresh import aggregate_one_second, refresh_sample, refresh_times
-
-
-def brute_force_refresh(times):
-    """Literal transcription of the refresh-time definition.
-
-    N_t^i counts ticks of asset i at or before t; each next refresh time
-    is the max over assets of tick number N_tau^i + 1 (one-based), and
-    iteration stops when that index is out of range for some asset.
-    """
-    taus = [max(t[0] for t in times)]
-    while True:
-        nxt = []
-        for t in times:
-            n_at_tau = sum(1 for x in t if x <= taus[-1])
-            if n_at_tau + 1 > len(t):
-                return taus
-            nxt.append(t[n_at_tau])
-        taus.append(max(nxt))
 
 
 class TestRefreshTimes:
