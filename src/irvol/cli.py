@@ -60,14 +60,6 @@ ML_MODELS = ("irgarch", "irarch")
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # the sampler settings of an MCMC fit, by the McmcConfig field each sets
 MCMC_SETTINGS = {"iters": "n_iterations", "burnin": "burn_in", "thin": "thin"}
-# The type of each setting's flag and its default (None: the subcommand
-# needs a value).
-SETTINGS = {
-    "length": (int, None), "replicates": (int, 1), "gap_mean": (float, 3.0),
-    "seed": (int, 0), "threads": (int, 1), "out": (str, None),
-    "holdout": (int, 44), "horizons": (str, "1,5,10,22,44"),
-    **{name: (int, getattr(DEFAULT_CONFIG, field)) for name, field in MCMC_SETTINGS.items()},
-}
 
 
 def _options(args, names) -> dict:
@@ -466,32 +458,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=irvol.__version__)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def setting(p, name, *aliases, **kwargs):
-        cast, default = SETTINGS[name]
-        kwargs.setdefault("default", default)
-        p.add_argument("--" + name.replace("_", "-"), *aliases, dest=name, type=cast, **kwargs)
-
     def add_common(p):
-        setting(p, "seed")
-        setting(p, "threads")
-        setting(p, "out", help="output directory")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--out", type=str, help="output directory")
 
     p = sub.add_parser("simulate", help="simulate replicate data sets")
     p.add_argument("--model", required=True, choices=MCMC_MODELS + ML_MODELS)
     p.add_argument("--params", required=True, help="JSON file of true parameters")
-    setting(p, "length", "-T")
-    setting(p, "replicates")
-    setting(p, "gap_mean")
+    p.add_argument("--length", "-T", type=int)
+    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--gap-mean", type=float, default=3.0)
     add_common(p)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a model to one or more data files")
     p.add_argument("--model", required=True, choices=MCMC_MODELS + ML_MODELS)
     p.add_argument("--data", required=True, nargs="+")
-    p.add_argument("--priors", default=None, help="JSON file of prior settings")
-    for name in MCMC_SETTINGS:
-        setting(p, name)
-    setting(p, "holdout", default=0, help="withhold this many final observations from the fit")
+    p.add_argument("--priors", help="JSON file of prior settings")
+    for name, field in MCMC_SETTINGS.items():
+        p.add_argument("--" + name, type=int, default=getattr(DEFAULT_CONFIG, field))
+    p.add_argument("--holdout", type=int, default=0,
+                   help="withhold this many final observations from the fit")
     add_common(p)
     p.set_defaults(handler=cmd_fit)
 
@@ -506,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MCMC_MODELS)
     p.add_argument("--chain", required=True)
     p.add_argument("--data", required=True)
-    setting(p, "holdout")
-    setting(p, "horizons")
-    p.add_argument("--draws-per-sample", dest="draws_per_sample", type=int, default=None,
+    p.add_argument("--holdout", type=int, default=44)
+    p.add_argument("--horizons", type=str, default="1,5,10,22,44")
+    p.add_argument("--draws-per-sample", type=int,
                    help="no effect: forecasts are exact; accepted so older command "
                         "lines still run")
     add_common(p)
@@ -517,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="MAE table for forecast files vs holdout data")
     p.add_argument("--forecasts", required=True, nargs="+")
     p.add_argument("--data", required=True, help="full returns file incl. holdout")
-    setting(p, "holdout")
+    p.add_argument("--holdout", type=int, default=44)
     add_common(p)
     p.set_defaults(handler=cmd_compare)
 

@@ -271,11 +271,12 @@ def minimize(fun, x0, lower, upper):
     asked for once, at x0, to seed BFGS.  Coordinates with lower == upper
     stay fixed.  Each round evaluates one trial point per unfinished
     problem: a projected quasi-Newton step, shrunk until it meets Armijo's
-    condition.  A problem converges as ``_descent`` says, or when the next
-    trial could lower its value by at most ``_FTOL`` of its size (nothing
-    representable is left); it stops unconverged at a start value that is
-    not finite or after ``_MAX_EVALS`` evaluations.  Returns x, the
-    values, projected gradients, converged, steps and evaluations.
+    condition.  A problem converges as ``_descent`` says.  It also stops
+    when the next trial could lower its value by at most ``_FTOL`` of its
+    size (nothing representable is left), converged only if its projected
+    gradient is at most ``_GTOL``; and it stops unconverged at a start
+    value that is not finite or after ``_MAX_EVALS`` evaluations.  Returns
+    x, the values, projected gradients, converged, steps and evaluations.
     """
     x, free = np.clip(x0, lower, upper), lower < upper
 
@@ -303,7 +304,7 @@ def minimize(fun, x0, lower, upper):
             shrink = np.fmax(np.fmin(-0.5 * sl / (f_t[~ok] - f[rej] - sl), 0.5), 0.1)
             t[rej] *= shrink
             stalled = rej[(sl < 0) & (-sl * shrink <= _FTOL * np.abs(f[rej]).clip(1.0))]
-            converged[stalled] = done[stalled] = True
+            done[stalled], converged[stalled] = True, np.abs(pg[stalled]).max(axis=1) <= _GTOL
             uphill = rej[sl >= 0]  # clipping at the box undid the descent
             t[uphill], d[uphill] = 1.0, -pg[uphill]
             # an accepted one updates hess by BFGS, damped as Powell's to stay positive definite

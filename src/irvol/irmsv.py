@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irvol.core import gap_values
-from irvol.irsv import IrSvParams, _recurse_states
+from irvol.irsv import IrSvParams, _simulate
 
 MIN_EIGENVALUE = 1e-10
 SYMMETRY_TOL = 1e-12
@@ -144,17 +143,5 @@ def simulate_irmsv(params: IrMsvParams, gaps, length: int, seed=None):
     Draw order is fixed: the (p, T) state-noise block first, then the
     (p, T) observation-noise block, so runs are seed-reproducible.
     """
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    g = gap_values(gaps, count=length - 1, max_one=True)
-    p = params.n_assets
-    rng = np.random.default_rng(seed)
-    z_state = rng.standard_normal((p, length))
-    z_obs = rng.standard_normal((p, length))
-    h = np.empty((p, length))
-    for i in range(p):
-        h[i] = _recurse_states(float(params.mu[i]), float(params.phi[i]),
-                               float(params.sigma[i]), g, z_state[i])
-    eps = params.correlation.cholesky() @ z_obs
-    r = np.exp(h / 2.0) * eps
-    return h, r
+    return _simulate(params.mu.tolist(), params.phi.tolist(), params.sigma.tolist(),
+                     params.correlation.cholesky(), gaps, length, seed)

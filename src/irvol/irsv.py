@@ -73,23 +73,30 @@ def gap_law(phi, gaps):
     return phi**gaps, (1.0 - phi ** (2.0 * gaps)) / omp
 
 
-def _recurse_states(mu: float, phi: float, sigma_eta: float, gaps: np.ndarray,
-                    z: np.ndarray) -> np.ndarray:
-    """Run the latent recursion given standard-normal state noise z."""
-    omp = 1.0 - phi**2
-    length = z.size
-    h = np.empty(length)
-    x = math.sqrt(sigma_eta**2 / omp) * z[0]
-    h[0] = mu + x
-    if length > 1:
-        coef = phi**gaps
-        innov = (sigma_eta * np.sqrt((1.0 - phi ** (2.0 * gaps)) / omp)) * z[1:]
-        j = 1
-        for a, w in zip(coef.tolist(), innov.tolist()):
+def _simulate(mu, phi, sigma, chol: np.ndarray, gaps, length: int, seed):
+    """Simulate (p, T) log-volatilities h and returns r for p assets.
+
+    Asset i runs the latent recursion with (mu[i], phi[i], sigma[i]) over
+    the shared gaps; ``chol`` is the Cholesky factor of the observation
+    correlation.  The (p, T) state noise is drawn first, then the (p, T)
+    observation noise.
+    """
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    g = gap_values(gaps, count=length - 1, max_one=True)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((len(mu), length))
+    e = rng.standard_normal((len(mu), length))
+    h = np.empty_like(z)
+    for row, m, f, s, noise in zip(h, mu, phi, sigma, z):
+        omp = 1.0 - f**2
+        x = math.sqrt(s**2 / omp) * noise[0]
+        row[0] = m + x
+        innov = (s * np.sqrt((1.0 - f ** (2.0 * g)) / omp)) * noise[1:]
+        for j, (a, w) in enumerate(zip((f**g).tolist(), innov.tolist()), 1):
             x = a * x + w
-            h[j] = mu + x
-            j += 1
-    return h
+            row[j] = m + x
+    return h, np.exp(h / 2.0) * (chol @ e)
 
 
 def simulate_irsv(params: IrSvParams, gaps, length: int, seed=None):
@@ -97,15 +104,9 @@ def simulate_irsv(params: IrSvParams, gaps, length: int, seed=None):
 
     ``gaps`` supplies g_j for j = 2..length and must lie in (0, 1].
     """
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    g = gap_values(gaps, count=length - 1, max_one=True)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(length)
-    e = rng.standard_normal(length)
-    h = _recurse_states(params.mu, params.phi, params.sigma_eta, g, z)
-    r = np.exp(h / 2.0) * e
-    return h, r
+    h, r = _simulate([params.mu], [params.phi], [params.sigma_eta], np.eye(1), gaps,
+                     length, seed)
+    return h[0], r[0]
 
 
 @dataclass(frozen=True)

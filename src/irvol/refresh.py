@@ -22,27 +22,12 @@ from irvol.core import TickSeries, _as_1d_floats
 class RefreshResult:
     """Synchronized prices on the common refresh-time grid.
 
-    ``prices[i, j]`` is the last observed price of asset i at or before
-    ``refresh_times[j]``.
+    ``refresh_times`` is strictly increasing, and ``prices[i, j]`` is the
+    last observed price of asset i at or before ``refresh_times[j]``.
     """
 
     refresh_times: np.ndarray
     prices: np.ndarray
-
-    def __post_init__(self):
-        tau = _as_1d_floats(self.refresh_times, "refresh_times")
-        prices = np.array(self.prices, dtype=float)
-        if np.any(np.diff(tau) <= 0):
-            raise ValueError("refresh times must be strictly increasing")
-        if prices.ndim != 2 or prices.shape[1] != tau.size:
-            raise ValueError("prices must be a (n_assets, n_refresh_times) matrix")
-        prices.setflags(write=False)
-        object.__setattr__(self, "refresh_times", tau)
-        object.__setattr__(self, "prices", prices)
-
-    @property
-    def n_assets(self) -> int:
-        return self.prices.shape[0]
 
     def __len__(self) -> int:
         return self.refresh_times.size

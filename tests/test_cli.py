@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import json
@@ -781,6 +782,39 @@ BAD_SETTINGS = {
     "thin-zero": (FIT, {"iters": "100", "burnin": "50", "thin": "0"},
                   "--iters 100, --burnin 50, --thin 0: thin must be at least 1"),
 }
+
+
+COMMON_FLAGS = [(("--seed",), "seed", int, 0), (("--threads",), "threads", int, 1),
+                (("--out",), "out", str, None)]
+# every flag of every subcommand: (option strings, dest, type, default)
+PARSER_FLAGS = {
+    "simulate": [(("--model",), "model", None, None), (("--params",), "params", None, None),
+                 (("--length", "-T"), "length", int, None),
+                 (("--replicates",), "replicates", int, 1),
+                 (("--gap-mean",), "gap_mean", float, 3.0), *COMMON_FLAGS],
+    "fit": [(("--model",), "model", None, None), (("--data",), "data", None, None),
+            (("--priors",), "priors", None, None), (("--iters",), "iters", int, 20000),
+            (("--burnin",), "burnin", int, 5000), (("--thin",), "thin", int, 10),
+            (("--holdout",), "holdout", int, 0), *COMMON_FLAGS],
+    "refresh": [(("--ticks",), "ticks", None, None), (("--raw",), "raw", None, False),
+                *COMMON_FLAGS],
+    "forecast": [(("--model",), "model", None, None), (("--chain",), "chain", None, None),
+                 (("--data",), "data", None, None), (("--holdout",), "holdout", int, 44),
+                 (("--horizons",), "horizons", str, "1,5,10,22,44"),
+                 (("--draws-per-sample",), "draws_per_sample", int, None), *COMMON_FLAGS],
+    "compare": [(("--forecasts",), "forecasts", None, None), (("--data",), "data", None, None),
+                (("--holdout",), "holdout", int, 44), *COMMON_FLAGS],
+    "replay": [(("--manifest",), "manifest", None, None), (("--out",), "out", None, None)],
+}
+
+
+def test_every_flag_keeps_its_dest_type_and_default():
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = {name: [(tuple(a.option_strings), a.dest, a.type, a.default)
+                    for a in parser._actions if a.dest != "help"]
+             for name, parser in sub.choices.items()}
+    assert flags == PARSER_FLAGS
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))

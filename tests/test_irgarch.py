@@ -396,6 +396,16 @@ class TestFitMl:
         assert fit.loglik >= 284.0027
         assert fit.params.alpha1 + fit.params.beta1 < 0.99
 
+    def test_stall_away_from_a_stationary_point_is_unconverged(self):
+        # one return of 1e150: the winning search runs out of representable
+        # decrease at omega 8.8e303 with a projected gradient of 0.117
+        gaps = draw_positive_poisson(119, 3.0, seed=1207)
+        _, r = simulate_irgarch(IrGarchParams(0.01, 0.3, 0.6), gaps, 120, seed=1307)
+        r[60] = 1e150
+        fit = fit_ml([(r, gaps)])[0]
+        assert fit.grad_norm > 1e-5
+        assert not fit.converged
+
     def test_garch_fit_nests_the_arch_fit(self):
         r, gaps = self.series(10_174, 20_174)
         garch, arch = fit_ml([(r, gaps)])[0], fit_ml([(r, gaps)], arch_only=True)[0]

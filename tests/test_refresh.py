@@ -50,6 +50,18 @@ class TestRefreshTimes:
                 times.append(ticks)
             expected = brute_force_refresh([t.tolist() for t in times])
             np.testing.assert_array_equal(refresh_times(times), expected)
+            # refresh_sample's grid is the same, and each price is its asset's
+            # last tick at or before the refresh time
+            series = [TickSeries(f"a{i}", t, 100.0 * (i + 1) + np.arange(t.size))
+                      for i, t in enumerate(times)]
+            out = refresh_sample(series)
+            np.testing.assert_array_equal(out.refresh_times, expected)
+            assert np.all(np.diff(out.refresh_times) > 0)
+            assert out.prices.shape == (p, len(expected))
+            for i, s in enumerate(series):
+                last = [[price for t, price in zip(s.timestamps.tolist(), s.prices.tolist())
+                         if t <= tau][-1] for tau in expected]
+                np.testing.assert_array_equal(out.prices[i], last)
 
     def test_permutation_leaves_tau_unchanged(self):
         times = [[1, 3, 5], [2, 3, 6], [0.5, 2.5, 7.0]]
