@@ -65,21 +65,17 @@ def gap_values(gaps, count: int | None = None, max_one: bool = False) -> np.ndar
     """The one check of a gap sequence: a read-only one-dimensional array of
     positive, finite floats.
 
-    With ``count`` the first ``count`` entries are returned (erroring when
-    fewer are available); ``max_one`` additionally requires gaps in (0, 1],
-    as the stochastic volatility models take them.
+    With ``count`` there must be exactly ``count`` gaps, one per return after
+    the first; ``max_one`` additionally requires gaps in (0, 1], as the
+    stochastic volatility models take them.
     """
     g = _as_1d_floats(gaps, "gaps")
     if np.any(g <= 0):
         raise ValueError("gap times must be positive")
     if max_one and np.any(g > 1.0):
         raise ValueError("gaps must be scaled into (0, 1]; rescale them first")
-    if count is not None:
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        if g.size < count:
-            raise ValueError(f"need {count} gap values but only {g.size} are available")
-        g = g[:count]
+    if count is not None and g.size != count:
+        raise ValueError(f"need exactly {count} gap times for {count + 1} returns, not {g.size}")
     return g
 
 

@@ -65,31 +65,34 @@ def _read_csv(path, row_parser) -> Iterator:
     ``row_parser(header)`` rejects a wrong header with a ``ValueError`` and
     returns the function that parses one row's cells.  Blank rows are
     skipped; every other row must be as wide as the header, and there must
-    be one.  Each error names the file, and the line for a row.
+    be one.  Each error names the file, and the line for a row or a CSV fault.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
         try:
-            parse = row_parser(header)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        yield header
-        lineno = None
-        for cells in reader:
-            if not cells:
-                continue
-            lineno = reader.line_num
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
             try:
-                if len(cells) != len(header):
-                    raise ValueError(f"row width {len(cells)} does not match header "
-                                     f"width {len(header)}")
-                row = parse(cells)
+                parse = row_parser(header)
             except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            yield lineno, row
+                raise ValueError(f"{path}: {exc}") from None
+            yield header
+            lineno = None
+            for cells in reader:
+                if not cells:
+                    continue
+                lineno = reader.line_num
+                try:
+                    if len(cells) != len(header):
+                        raise ValueError(f"row width {len(cells)} does not match header "
+                                         f"width {len(header)}")
+                    row = parse(cells)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                yield lineno, row
+        except csv.Error as exc:  # such as a cell over csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if lineno is None:
         raise ValueError(f"{path}: no data rows")
 
@@ -190,8 +193,8 @@ def read_returns(path):
     """Read a synchronized-returns file.
 
     Returns (timestamps (n,), gaps (n-1,), returns (p, n), asset_ids).
-    Every number must be finite, and the gap column must agree with the
-    timestamp differences to within ``TIME_TOL``.
+    Every number must be finite, and each gap must agree with its timestamp
+    difference to within ``TIME_TOL`` plus two ulp of the larger timestamp.
     """
     rows = _read_csv(path, _returns_parser)
     header = next(rows)
@@ -203,7 +206,8 @@ def read_returns(path):
     finite[1:] &= np.isfinite(gaps)
     if not finite.all():
         raise ValueError(f"{path}: line {linenos[int(np.argmin(finite))]}: number is not finite")
-    if gaps.size and float(np.max(np.abs(gaps - np.diff(ts)))) > TIME_TOL:
+    tol = TIME_TOL + 2.0 * np.spacing(np.maximum(np.abs(ts[1:]), np.abs(ts[:-1])))
+    if np.any(np.abs(gaps - np.diff(ts)) > tol):
         raise ValueError(f"{path}: gap column disagrees with timestamps")
     return ts, gaps, r, [cell[2:] for cell in header[2:]]
 
@@ -280,10 +284,10 @@ def read_chain(path, **expect) -> tuple[McmcChain, dict]:
     The sidecar is required: a missing one raises ``FileNotFoundError``.
     Each other error is a ``ValueError`` naming the file it is in: a draw
     row whose width disagrees with the header, or a sidecar with an
-    unknown format version, names that disagree with the header, a config
-    ``McmcConfig`` rejects, a ``gap_scale_factor`` that is not a positive
-    number, or an entry that is missing, null or differs from its value
-    in ``expect``.
+    unknown format version, names or ``n_draws`` that disagree with the
+    CSV, a config ``McmcConfig`` rejects, a ``gap_scale_factor`` that is
+    not a positive number, or an entry that is missing, null or differs
+    from its value in ``expect``.
     """
     rows = _read_csv(path, lambda header: _floats)
     names = tuple(next(rows))
@@ -296,6 +300,8 @@ def read_chain(path, **expect) -> tuple[McmcChain, dict]:
             raise ValueError(f"unsupported chain format version {version!r}")
         if tuple(_entry(meta, "names")) != names:
             raise ValueError("sidecar names disagree with the chain header")
+        if _entry(meta, "n_draws") != len(draws):
+            raise ValueError(f"n_draws: {meta['n_draws']!r}, but the chain has {len(draws)} rows")
         rates = {k: float(v) for k, v in _entry(meta, "acceptance_rates").items()}
         config = McmcConfig(**_entry(meta, "config"))
         _check_scale_factor(_entry(meta, "gap_scale_factor"))
@@ -359,15 +365,20 @@ def read_forecasts(path) -> list[dict]:
     """Read a forecast file's rows: model, asset, integer horizon and the
     three forecast columns as floats, by column name.
 
-    Every row must name the first row's model, have a horizon of at least
-    1 and finite forecasts; an error names the file and the line.
+    Every row must name the first row's model and its own (asset, horizon),
+    have a horizon of at least 1 and finite forecasts; an error names the
+    file and the line.
     """
     rows = _read_csv(path, _forecast_parser)
     next(rows)
-    out = []
+    out, seen = [], set()
     for lineno, row in rows:
         if out and row["model"] != out[0]["model"]:
             raise ValueError(f"{path}: line {lineno}: model {row['model']!r} is not the "
                              f"file's model {out[0]['model']!r}")
+        if (row["asset"], row["horizon"]) in seen:
+            raise ValueError(f"{path}: line {lineno}: a second row for asset {row['asset']!r} "
+                             f"at horizon {row['horizon']}")
+        seen.add((row["asset"], row["horizon"]))
         out.append(row)
     return out

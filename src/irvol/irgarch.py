@@ -79,10 +79,14 @@ class IrGarchParams:
             raise ValueError("beta1 must be nonnegative")
 
 
+def _min_gap(gaps) -> float:
+    """g* = min(FIRST_GAP, min g): the smallest gap, the unit start gap included."""
+    return float(np.min(gaps, initial=FIRST_GAP))
+
+
 def persistence_at_min_gap(params: IrGarchParams, gaps) -> float:
-    """alpha1**g* + beta1**g* at the smallest gap (unit start gap included)."""
-    g = np.asarray(gaps, dtype=float)
-    g_star = min(FIRST_GAP, float(np.min(g))) if g.size else FIRST_GAP
+    """alpha1**g* + beta1**g* at the smallest gap g* (see ``_min_gap``)."""
+    g_star = _min_gap(gaps)
     return params.alpha1**g_star + params.beta1**g_star
 
 
@@ -209,7 +213,7 @@ def conditional_loglik(params: IrGarchParams, returns, gaps) -> float:
     if r.ndim != 1 or r.size < 2:
         raise ValueError("need at least two returns for the conditional likelihood")
     g = gap_values(gaps, count=r.size - 1)
-    g_star = np.array([min(FIRST_GAP, float(np.min(g)))])
+    g_star = np.array([_min_gap(g)])
     theta, r2 = np.array([[params.omega], [params.alpha1], [params.beta1]]), (r * r)[None]
     with np.errstate(all="ignore"):
         sigma2 = _variance_path(theta, r2, g[None])
@@ -350,7 +354,7 @@ def _prepare(returns, gaps):
         raise ValueError("need one-dimensional returns, at least 50 of them, to fit")
     g = gap_values(gaps, count=r.size - 1)
     r2 = squared_returns(r)
-    return r2, min(FIRST_GAP, float(np.min(g))), g, math.log(max(float(np.var(r)), 1e-12))
+    return r2, _min_gap(g), g, math.log(max(float(np.var(r)), 1e-12))
 
 
 def _searches(g_star: np.ndarray, log_omega0: np.ndarray, arch_only: bool):

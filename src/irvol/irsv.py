@@ -139,11 +139,9 @@ def forecast(mu, phi, sigma2, last_h, future_gaps, steps=None) -> ForecastSummar
     bisection step and reported step, so callers pass only the horizons
     they need.
     """
-    g = np.asarray(future_gaps, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("future_gaps must be a nonempty one-dimensional sequence")
-    if not np.all(np.isfinite(g)) or np.any(g <= 0):
-        raise ValueError("future gap times must be positive and finite")
+    g = gap_values(future_gaps)
+    if g.size == 0:
+        raise ValueError("future_gaps must not be empty")
     steps = np.arange(1, g.size + 1) if steps is None else np.asarray(steps, dtype=int)
     if steps.ndim != 1 or steps.size == 0 or steps.min() < 1 or steps.max() > g.size:
         raise ValueError("steps must be 1-based positions within future_gaps")

@@ -101,18 +101,9 @@ def effective_sample_size(x) -> float:
     spec = np.fft.rfft(centered, m)
     acov = np.fft.irfft(spec * np.conj(spec), m)[:n].real / n
     rho = acov / acov[0]
-    pair_sums = []
-    k = 0
-    while 2 * k + 1 < n:
-        s = rho[2 * k] + rho[2 * k + 1]
-        if s <= 0.0:
-            break
-        pair_sums.append(s)
-        k += 1
-    if not pair_sums:
-        return float(n)
-    pair_sums = np.minimum.accumulate(pair_sums)
-    iact = max(1.0, 2.0 * float(np.sum(pair_sums)) - 1.0)
+    pairs = rho[:-1:2] + rho[1::2]  # rho_2k + rho_2k+1 for every whole pair of lags
+    pairs = pairs[: np.argmax(np.append(pairs <= 0.0, True))]  # up to the first sum <= 0
+    iact = max(1.0, 2.0 * float(np.sum(np.minimum.accumulate(pairs))) - 1.0)
     return float(min(n, n / iact))
 
 

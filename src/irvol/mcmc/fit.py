@@ -357,10 +357,7 @@ def _fit_data(returns, gaps, multivariate: bool) -> tuple[np.ndarray, np.ndarray
         raise ValueError("returns must contain only finite values")
     if r.shape[1] < 10:
         raise ValueError("need at least 10 observations to fit")
-    g = gap_values(gaps, max_one=True)
-    if g.size != r.shape[1] - 1:
-        raise ValueError("need exactly T - 1 gap times")
-    return r, g
+    return r, gap_values(gaps, count=r.shape[1] - 1, max_one=True)
 
 
 def fit_irsv(returns, gaps, priors: IrSvPriors | None = None,

@@ -585,6 +585,8 @@ def _zero_last_gap(text):
     return "\n".join(lines) + "\n"
 
 
+HUGE = "1" * 131_073  # one character over csv's default field size limit
+
 # input kind: (the file made malformed, its edit, the command that reads it, the
 # line the error must name, the key of a JSON record it must name, or None)
 MALFORMED = {
@@ -609,6 +611,16 @@ MALFORMED = {
        for case, line, column, value in [("horizon-0", 2, 2, "0"), ("horizon-neg", 3, 2, "-3"),
                                          ("nan", 2, 6, "nan"), ("inf", 3, 8, "inf"),
                                          ("second-model", 3, 0, "irmsv")]},
+    # a cell the csv module refuses to parse, in each CSV a command reads
+    "ticks-huge-cell": ("ticks.csv", _edit_cell(3, 2, HUGE), ("refresh", "--ticks", "ticks.csv"),
+                        3),
+    "returns-huge-cell": ("sim/rep000.csv", _edit_cell(5, 2, HUGE),
+                          ("fit", "--model", "irgarch", "--data", "sim/rep000.csv"), 5),
+    "chain-huge-cell": ("fit/rep000.chain.csv", _edit_cell(3, 1, HUGE), FORECAST, 3),
+    "forecast-huge-cell": ("fc/forecast.csv", _edit_cell(2, 3, HUGE), COMPARE, 2),
+    # compare would average a second row for one asset in as if it were another asset
+    "forecast-repeated-row": ("fc/forecast.csv", lambda text: text + text.splitlines()[1] + "\n",
+                              COMPARE, 4),
     # a draw forecasting cannot use, and a holdout gap it cannot span
     "chain-phi-nan": ("fit/rep000.chain.csv", _edit_cell(2, 1, "nan"), FORECAST, None),
     "chain-phi-above-1": ("fit/rep000.chain.csv", _edit_cell(2, 1, "1.5"), FORECAST, None),
@@ -664,6 +676,18 @@ def test_forecast_without_its_sidecar_exits_1(tmp_path, capsys, monkeypatch, pip
     capsys.readouterr()
     assert run(*FORECAST, "--out", "out") == 1
     assert "fit/rep000.chain.csv.meta.json" in capsys.readouterr().err
+
+
+def test_forecast_of_a_truncated_chain_exits_2_naming_the_sidecar(tmp_path, capsys, monkeypatch,
+                                                                  pipeline):
+    shutil.copytree(pipeline, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    chain = Path("fit/rep000.chain.csv")
+    chain.write_text("".join(chain.read_text().splitlines(keepends=True)[:11]))
+    capsys.readouterr()
+    assert run(*FORECAST, "--out", "out") == 2
+    assert ("error: fit/rep000.chain.csv.meta.json: n_draws: 50, but the chain has 10 rows\n"
+            in capsys.readouterr().err)
 
 
 # the config keys each older sidecar held beyond the current four

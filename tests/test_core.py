@@ -12,6 +12,12 @@ from irvol.core import (
     generate_gaps,
     scale_gaps,
 )
+from irvol.irgarch import (IrGarchParams, conditional_loglik, filter_sigma2, fit_ml,
+                           simulate_irgarch)
+from irvol.irmsv import CorrelationMatrix, IrMsvParams, simulate_irmsv
+from irvol.irsv import IrSvParams, simulate_irsv
+from irvol.mcmc.chain import McmcConfig
+from irvol.mcmc.fit import fit_irmsv, fit_irsv
 
 
 class TestScaleGaps:
@@ -72,14 +78,43 @@ class TestGapValues:
         with pytest.raises(ValueError, match="scaled into"):
             gap_values([0.5, 2.0], max_one=True)
 
-    def test_count_takes_a_prefix_and_rejects_too_few(self):
-        np.testing.assert_array_equal(gap_values([0.1, 0.2, 0.3], count=2), [0.1, 0.2])
-        with pytest.raises(ValueError, match="need 4 gap values but only 3"):
-            gap_values([0.1, 0.2, 0.3], count=4)
+    def test_count_must_match_exactly(self):
+        np.testing.assert_array_equal(gap_values([0.1, 0.2, 0.3], count=3), [0.1, 0.2, 0.3])
+        assert gap_values([], count=0).size == 0
+        for count in (2, 4):  # one too many, one too few
+            with pytest.raises(ValueError, match=f"need exactly {count} gap times for "
+                                                 f"{count + 1} returns, not 3"):
+                gap_values([0.1, 0.2, 0.3], count=count)
 
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             gap_values([[0.5, 0.5]])
+
+
+T = 60
+RETURNS = np.random.default_rng(0).normal(0.0, 0.01, (2, T))
+GARCH = IrGarchParams(0.01, 0.3, 0.6)
+MSV = IrMsvParams([-9.0, -9.5], [0.7, 0.5], [1.0, 0.9], CorrelationMatrix([[1, 0.6], [0.6, 1]]))
+# every entry point that takes T returns, or a length T, with its gaps
+GAP_TAKERS = {
+    "conditional_loglik": lambda g: conditional_loglik(GARCH, RETURNS[0], g),
+    "filter_sigma2": lambda g: filter_sigma2(GARCH, RETURNS[0], g),
+    "fit_ml": lambda g: fit_ml([(RETURNS[0], g)]),
+    "simulate_irgarch": lambda g: simulate_irgarch(GARCH, g, T),
+    "simulate_irsv": lambda g: simulate_irsv(IrSvParams(-9.0, 0.5, 0.8), g, T),
+    "simulate_irmsv": lambda g: simulate_irmsv(MSV, g, T),
+    "fit_irsv": lambda g: fit_irsv(RETURNS[0], g, config=McmcConfig(2, 1)),
+    "fit_irmsv": lambda g: fit_irmsv(RETURNS, g, config=McmcConfig(2, 1)),
+}
+
+
+@pytest.mark.parametrize("count", [T, T - 2])
+@pytest.mark.parametrize("entry", sorted(GAP_TAKERS))
+def test_every_entry_point_needs_exactly_t_minus_1_gaps(entry, count):
+    # a gap array one entry too long would shift every g_j of the recursion
+    with pytest.raises(ValueError, match=f"need exactly {T - 1} gap times for {T} returns, "
+                                         f"not {count}"):
+        GAP_TAKERS[entry](np.full(count, 0.5))
 
 
 class TestGenerateGaps:

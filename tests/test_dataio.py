@@ -143,6 +143,28 @@ class TestReturnsRoundTrip:
         with pytest.raises(ValueError, match="disagrees"):
             read_returns(bad)
 
+    def test_epoch_second_timestamps_are_read(self, tmp_path):
+        # one ulp of 1.7e9 is 2.4e-7 s, so the timestamps' differences are the
+        # gaps only to within their own rounding
+        path = _write(tmp_path / "epoch.csv", (
+            "timestamp,gap,r_a\n"
+            "1700000000.0,,0.1\n"
+            "1700000000.1,0.1,0.2\n"
+            "1700000000.3,0.2,0.3\n"
+        ))
+        np.testing.assert_array_equal(read_returns(path)[1], [0.1, 0.2])
+
+    @pytest.mark.parametrize("start,off", [(1700000000.0, 1e-6), (0.0, 1e-8)],
+                             ids=["epoch-1e-6", "zero-1e-8"])
+    def test_disagreement_beyond_rounding_refused(self, tmp_path, start, off):
+        path = _write(tmp_path / "returns.csv", (
+            "timestamp,gap,r_a\n"
+            f"{start!r},,0.1\n"
+            f"{start + 0.1!r},{0.1 + off!r},0.2\n"
+        ))
+        with pytest.raises(ValueError, match="returns.csv: gap column disagrees"):
+            read_returns(path)
+
     @pytest.mark.parametrize("row", ["nan,1.0,0.2", "1.0,nan,0.2", "1.0,1.0,nan", "1.0,1.0,inf"])
     def test_non_finite_number_names_its_line(self, tmp_path, row):
         path = _write(tmp_path / "returns.csv", (

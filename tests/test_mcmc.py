@@ -306,6 +306,40 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(McmcChain(("x",), np.empty((0, 1)), {}, CONFIG))
 
+    @pytest.mark.parametrize("phi", [-0.5, 0.0, 0.6, 0.99])
+    @pytest.mark.parametrize("n", [4, 5, 199, 200, 1001, 1000])
+    def test_ess_equals_the_pair_loop_bit_for_bit(self, n, phi):
+        noise = np.random.default_rng(n).standard_normal(n)
+        x = np.empty(n)
+        x[0] = noise[0]
+        for i in range(1, n):
+            x[i] = phi * x[i - 1] + noise[i]
+        assert effective_sample_size(x) == _loop_ess(x)
+
+
+def _loop_ess(x) -> float:
+    """Geyer's initial monotone sequence ESS with the pair sums formed, cut at
+    the first one <= 0, in a Python loop: the reference for the array form."""
+    n = x.size
+    centered = x - x.mean()
+    m = 1 << (2 * n - 1).bit_length()
+    spec = np.fft.rfft(centered, m)
+    acov = np.fft.irfft(spec * np.conj(spec), m)[:n].real / n
+    rho = acov / acov[0]
+    pair_sums = []
+    k = 0
+    while 2 * k + 1 < n:
+        s = rho[2 * k] + rho[2 * k + 1]
+        if s <= 0.0:
+            break
+        pair_sums.append(s)
+        k += 1
+    if not pair_sums:
+        return float(n)
+    pair_sums = np.minimum.accumulate(pair_sums)
+    iact = max(1.0, 2.0 * float(np.sum(pair_sums)) - 1.0)
+    return float(min(n, n / iact))
+
 
 class TestConfig:
     def test_fields_are_the_run_length_and_seed(self):
@@ -350,8 +384,10 @@ class TestFitIrsv:
             fit_irsv(np.vstack([r, r]), gaps, config=cfg)
         with pytest.raises(ValueError, match="finite"):
             fit_irsv(np.append(r[:-1], np.nan), gaps, config=cfg)
-        with pytest.raises(ValueError, match="T - 1"):
-            fit_irsv(r, gaps[:-1], config=cfg)
+        for wrong in (gaps[:-1], np.append(gaps, 0.5)):  # one gap too few, one too many
+            with pytest.raises(ValueError, match=f"need exactly 39 gap times for 40 returns, "
+                                                 f"not {wrong.size}"):
+                fit_irsv(r, wrong, config=cfg)
 
     def test_all_zero_returns_warn_not_fail(self):
         with pytest.warns(UserWarning, match="zero"):
